@@ -8,6 +8,7 @@
 /// copies.  This is the virtual-cluster substitute for the initial data
 /// distribution an MPI job performs when loading a configuration.
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -39,15 +40,26 @@ class DomainMap {
     return maps_[static_cast<std::size_t>(rank)];
   }
 
-  /// Splits \p global into per-rank local fields (resizes \p locals).
+  /// Splits \p global into per-rank local fields.  \p locals is resized
+  /// only when its count or local geometry differs; otherwise every field
+  /// keeps its storage and is overwritten in place (operators scatter on
+  /// every apply).
   template <typename Site>
   void scatter(const LatticeField<Site>& global,
                std::vector<LatticeField<Site>>& locals) const {
-    locals.clear();
-    locals.reserve(static_cast<std::size_t>(part_.num_ranks()));
+    const auto nr = static_cast<std::size_t>(part_.num_ranks());
+    const bool reuse =
+        locals.size() == nr &&
+        std::all_of(locals.begin(), locals.end(), [&](const auto& f) {
+          return f.geometry() == part_.local();
+        });
+    if (!reuse) {
+      locals.clear();
+      locals.reserve(nr);
+      for (std::size_t r = 0; r < nr; ++r) locals.emplace_back(part_.local());
+    }
     for (int r = 0; r < part_.num_ranks(); ++r) {
-      locals.emplace_back(part_.local());
-      auto dst = locals.back().sites();
+      auto dst = locals[static_cast<std::size_t>(r)].sites();
       auto map = rank_map(r);
       auto src = global.sites();
       for (std::size_t i = 0; i < dst.size(); ++i) {

@@ -9,7 +9,10 @@
 ///  * Krylov space: built and orthogonalized in (emulated) half precision;
 ///  * preconditioner: a fixed number of MR steps on the Dirichlet-cut
 ///    operator, entirely in half precision, with block-local reductions —
-///    the blocks matching the per-GPU subdomains of the partitioning.
+///    the blocks matching the per-GPU subdomains of the partitioning.  Each
+///    block runs its whole MR solve as one task on its own sublattice
+///    (solvers/block_task_schwarz.h), bitwise equal to the masked
+///    whole-lattice SchwarzPreconditioner; block extents must be even.
 
 #include <array>
 #include <functional>
@@ -20,10 +23,9 @@
 #include "dirac/partitioned_schur.h"
 #include "dirac/twisted_mass.h"
 #include "fields/precision.h"
-#include "lattice/block_mask.h"
 #include "lattice/partition.h"
+#include "solvers/block_task_schwarz.h"
 #include "solvers/gcr.h"
-#include "solvers/schwarz.h"
 
 namespace lqcd {
 
@@ -66,14 +68,12 @@ struct GcrDdParams {
 
 /// GCR-DD solver for the Wilson-clover system M x = b on the full lattice.
 /// The clover field may be null (plain Wilson).
+/// \throws std::invalid_argument if a Schwarz block extent is odd.
 class GcrDdWilsonSolver {
  public:
   GcrDdWilsonSolver(const GaugeField<double>& u,
                     const CloverField<double>* clover, GcrDdParams params)
-      : params_(params),
-        u_single_(convert_gauge<float>(u)),
-        u_half_(u_single_),
-        mask_(u.geometry(), params.block_grid) {
+      : params_(params), u_single_(convert_gauge<float>(u)) {
     if (clover != nullptr) {
       clover_single_ = convert_clover<float>(*clover);
     }
@@ -89,7 +89,6 @@ class GcrDdWilsonSolver {
                   static_cast<float>(params.twisted_mu), params.twist_flavor);
       }
     }
-    half_roundtrip(u_half_);
     if (params.rank_grid) {
       op_part_ = std::make_unique<PartitionedWilsonCloverSchur<float>>(
           Partitioning(u.geometry(), *params.rank_grid), u_single_,
@@ -98,17 +97,21 @@ class GcrDdWilsonSolver {
       op_ = std::make_unique<WilsonCloverSchurOperator<float>>(
           u_single_, clover_single_ ? &*clover_single_ : nullptr, params.mass);
     }
-    op_dd_ = std::make_unique<WilsonCloverSchurOperator<float>>(
-        params.half_preconditioner ? u_half_ : u_single_,
-        clover_single_ ? &*clover_single_ : nullptr, params.mass, &mask_);
+    std::optional<GaugeField<float>> u_half;
     std::function<void(WilsonField<float>&)> store;
     if (params.half_preconditioner) {
+      // The block operator keeps its own copy of the links, so the half
+      // round-tripped gauge field is needed only while it is built.
+      u_half.emplace(u_single_);
+      half_roundtrip(*u_half);
       // Schur-system fields keep the odd checkerboard zero; truncating only
       // the even half is bitwise identical (see precision.h).
       store = [](WilsonField<float>& f) { half_roundtrip(f, Parity::Even); };
     }
-    precond_ = std::make_unique<SchwarzPreconditioner<WilsonField<float>>>(
-        *op_dd_, mask_, params.mr, store);
+    precond_ = std::make_unique<BlockTaskSchwarzPreconditioner<float>>(
+        u_half ? *u_half : u_single_,
+        clover_single_ ? &*clover_single_ : nullptr, params.mass,
+        params.block_grid, params.mr, store);
   }
 
   /// Solves M x = b (both on the full lattice, double precision I/O).
@@ -179,7 +182,6 @@ class GcrDdWilsonSolver {
     return stats;
   }
 
-  const BlockMask& mask() const { return mask_; }
   const LinearOperator<WilsonField<float>>& schur_operator() const {
     if (op_part_) return *op_part_;
     return *op_;
@@ -193,13 +195,10 @@ class GcrDdWilsonSolver {
  private:
   GcrDdParams params_;
   GaugeField<float> u_single_;
-  GaugeField<float> u_half_;
   std::optional<CloverField<float>> clover_single_;
-  BlockMask mask_;
   std::unique_ptr<WilsonCloverSchurOperator<float>> op_;
   std::unique_ptr<PartitionedWilsonCloverSchur<float>> op_part_;
-  std::unique_ptr<WilsonCloverSchurOperator<float>> op_dd_;
-  std::unique_ptr<SchwarzPreconditioner<WilsonField<float>>> precond_;
+  std::unique_ptr<BlockTaskSchwarzPreconditioner<float>> precond_;
 };
 
 }  // namespace lqcd

@@ -129,16 +129,22 @@ class PartitionedWilsonClover : public LinearOperator<WilsonField<Real>> {
     if (a != nullptr) {
       map_.scatter(*a, clover_local_);
     }
-    gauge_ghosts_.assign(static_cast<std::size_t>(part.num_ranks()),
-                         GhostZones<Matrix3<Real>>(nt_));
-    exchange_gauge_ghosts(part_, nt_, u_local_, gauge_ghosts_,
-                          &traffic_.gauge);
-    in_local_.assign(static_cast<std::size_t>(part.num_ranks()),
-                     WilsonField<Real>(part.local()));
-    out_local_.assign(static_cast<std::size_t>(part.num_ranks()),
-                      WilsonField<Real>(part.local()));
-    spinor_ghosts_.assign(static_cast<std::size_t>(part.num_ranks()),
-                          GhostZones<HalfSpinor<Real>>(nt_));
+    // Ghost zones feed only the exterior kernels, which a comms-off
+    // operator never runs: it neither exchanges nor stores link ghosts, and
+    // sizes its per-rank staging fields on its first apply (a block
+    // operator driven only through apply_hop_local never needs them).
+    if (comms_) {
+      gauge_ghosts_.assign(static_cast<std::size_t>(part.num_ranks()),
+                           GhostZones<Matrix3<Real>>(nt_));
+      exchange_gauge_ghosts(part_, nt_, u_local_, gauge_ghosts_,
+                            &traffic_.gauge);
+      in_local_.assign(static_cast<std::size_t>(part.num_ranks()),
+                       WilsonField<Real>(part.local()));
+      out_local_.assign(static_cast<std::size_t>(part.num_ranks()),
+                        WilsonField<Real>(part.local()));
+      spinor_ghosts_.assign(static_cast<std::size_t>(part.num_ranks()),
+                            GhostZones<HalfSpinor<Real>>(nt_));
+    }
     // Nominal local link loads per full-volume interior pass: 8 per site
     // minus the two missing hops per face site of each partitioned dim.
     interior_links_ = 8 * part.local().volume();
@@ -208,11 +214,28 @@ class PartitionedWilsonClover : public LinearOperator<WilsonField<Real>> {
     run(out, in, target, /*hop_only=*/true);
   }
 
+  /// Rank-local hopping term on rank \p r's sublattice: out = D in on the
+  /// \p target sites (others zeroed) with every hop whose neighbour lies
+  /// in a ghost zone dropped.  This is the interior kernel alone — no
+  /// scatter, exchange, span or overlap sample — so on a Partitioning
+  /// along a Schwarz block grid it is one block's Dirichlet-cut hop: the
+  /// NeighborTable's ghost entries are exactly the cut links.  \p out and
+  /// \p in are local fields (geometry partitioning().local()); calls for
+  /// distinct fields may run concurrently.  Inside a serial region the
+  /// site loop runs inline and untuned.
+  void apply_hop_local(int r, WilsonField<Real>& out,
+                       const WilsonField<Real>& in, Parity target) const {
+    interior_kernel(r, in, out, target, /*hop_only=*/true);
+  }
+
  private:
   void run(WilsonField<Real>& out, const WilsonField<Real>& in,
            std::optional<Parity> target, bool hop_only) const {
     traffic_.applications += 1;
     map_.scatter(in, in_local_);
+    if (out_local_.size() != in_local_.size()) {
+      out_local_.assign(in_local_.size(), WilsonField<Real>(part_.local()));
+    }
     std::optional<Parity> source;
     if (target.has_value()) source = opposite(*target);
     if (rank_mode() == RankMode::Threads && !in_rank_task()) {
@@ -301,6 +324,8 @@ class PartitionedWilsonClover : public LinearOperator<WilsonField<Real>> {
   const LatticeGeometry& geometry() const override { return part_.global(); }
 
   const Partitioning& partitioning() const { return part_; }
+  /// Global <-> rank-local site maps of partitioning().
+  const DomainMap& domain_map() const { return map_; }
   const PartitionedTraffic& traffic() const { return traffic_; }
   /// Phase times of the threaded path (empty when running seq).
   const OverlapStats& overlap() const { return overlap_; }
@@ -335,8 +360,16 @@ class PartitionedWilsonClover : public LinearOperator<WilsonField<Real>> {
 
   void interior_kernel(int r, std::optional<Parity> target,
                        bool hop_only) const {
-    with_local_gauge(
-        r, [&](const auto& u) { interior_impl(u, r, target, hop_only); });
+    const auto i = static_cast<std::size_t>(r);
+    interior_kernel(r, in_local_[i], out_local_[i], target, hop_only);
+  }
+
+  void interior_kernel(int r, const WilsonField<Real>& in,
+                       WilsonField<Real>& out, std::optional<Parity> target,
+                       bool hop_only) const {
+    with_local_gauge(r, [&](const auto& u) {
+      interior_impl(u, r, in, out, target, hop_only);
+    });
   }
 
   void exterior_kernel(int r, int mu, std::optional<Parity> target,
@@ -351,11 +384,10 @@ class PartitionedWilsonClover : public LinearOperator<WilsonField<Real>> {
   /// \p hop_only drops the (4 + m + A) diagonal and the -1/2 factor,
   /// producing the raw hopping sum D in.
   template <typename Gauge>
-  void interior_impl(const Gauge& u, int r, std::optional<Parity> target,
+  void interior_impl(const Gauge& u, int r, const WilsonField<Real>& in,
+                     WilsonField<Real>& out, std::optional<Parity> target,
                      bool hop_only) const {
     const LatticeGeometry& local = part_.local();
-    const auto& in = in_local_[static_cast<std::size_t>(r)];
-    auto& out = out_local_[static_cast<std::size_t>(r)];
     const bool have_clover = !clover_local_.empty();
     const Real diag = static_cast<Real>(4.0 + mass_);
     const std::int64_t begin =

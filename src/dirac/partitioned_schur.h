@@ -10,6 +10,7 @@
 
 #include "dirac/partitioned.h"
 #include "fields/clover.h"
+#include "util/parallel_for.h"
 
 namespace lqcd {
 
@@ -36,21 +37,20 @@ class PartitionedWilsonCloverSchur : public LinearOperator<WilsonField<Real>> {
 
   void apply(WilsonField<Real>& out, const WilsonField<Real>& in) const override {
     this->count_application();
-    const LatticeGeometry& g = geometry();
     // tmp_o = A_oo^{-1} D_oe in_e.
     hop_.apply_hop(tmp_, in, Parity::Odd);
-    for (std::int64_t s = g.half_volume(); s < g.volume(); ++s) {
+    for_parity(Parity::Odd, [&](std::int64_t s) {
       tmp_.at(s) = clover_apply(inv_diag_.at(s), tmp_.at(s));
-    }
+    });
     // out_e = A_ee in_e - (1/4) D_eo tmp_o.
     hop_.apply_hop(out, tmp_, Parity::Even);
-    for (std::int64_t s = 0; s < g.half_volume(); ++s) {
+    for_parity(Parity::Even, [&](std::int64_t s) {
       WilsonSpinor<Real> v = clover_apply(diag_.at(s), in.at(s));
       WilsonSpinor<Real> h = out.at(s);
       h *= Real(-0.25);
       v += h;
       out.at(s) = v;
-    }
+    });
   }
 
   const LatticeGeometry& geometry() const override { return hop_.geometry(); }
@@ -58,40 +58,46 @@ class PartitionedWilsonCloverSchur : public LinearOperator<WilsonField<Real>> {
   /// b_hat_e = b_e + (1/2) D_eo A_oo^{-1} b_o.
   void prepare_source(WilsonField<Real>& b_hat,
                       const WilsonField<Real>& b) const {
-    const LatticeGeometry& g = geometry();
     tmp_.set_zero();
-    for (std::int64_t s = g.half_volume(); s < g.volume(); ++s) {
+    for_parity(Parity::Odd, [&](std::int64_t s) {
       tmp_.at(s) = clover_apply(inv_diag_.at(s), b.at(s));
-    }
+    });
     hop_.apply_hop(b_hat, tmp_, Parity::Even);
-    for (std::int64_t s = 0; s < g.half_volume(); ++s) {
+    for_parity(Parity::Even, [&](std::int64_t s) {
       WilsonSpinor<Real> v = b_hat.at(s);
       v *= Real(0.5);
       v += b.at(s);
       b_hat.at(s) = v;
-    }
-    for (std::int64_t s = g.half_volume(); s < g.volume(); ++s) {
-      b_hat.at(s) = WilsonSpinor<Real>{};
-    }
+    });
+    for (auto& v : b_hat.parity_span(Parity::Odd)) v = WilsonSpinor<Real>{};
   }
 
   /// x_o = A_oo^{-1} (b_o + (1/2) D_oe x_e).
   void reconstruct_solution(WilsonField<Real>& x,
                             const WilsonField<Real>& b) const {
-    const LatticeGeometry& g = geometry();
     hop_.apply_hop(tmp_, x, Parity::Odd);
-    for (std::int64_t s = g.half_volume(); s < g.volume(); ++s) {
+    for_parity(Parity::Odd, [&](std::int64_t s) {
       WilsonSpinor<Real> v = tmp_.at(s);
       v *= Real(0.5);
       v += b.at(s);
       x.at(s) = clover_apply(inv_diag_.at(s), v);
-    }
+    });
   }
 
   const PartitionedTraffic& traffic() const { return hop_.traffic(); }
   const Partitioning& partitioning() const { return hop_.partitioning(); }
 
  private:
+  /// fn(s) for every site of parity \p p, on the pool's default grid.
+  /// Each call writes only site s, so the result is bitwise independent of
+  /// the worker count; the grid is never tuned (no tune keys of its own).
+  template <typename Fn>
+  void for_parity(Parity p, Fn&& fn) const {
+    const std::int64_t h = geometry().half_volume();
+    const std::int64_t begin = p == Parity::Even ? 0 : h;
+    parallel_for(h, [&](std::int64_t i) { fn(begin + i); });
+  }
+
   PartitionedWilsonClover<Real> hop_;
   mutable WilsonField<Real> tmp_;
   CloverField<Real> diag_;

@@ -13,11 +13,12 @@
 /// truncation) bitwise equal to the single-RHS order — the MR step's four
 /// BLAS passes run as two fused one-pass kernels (block_dot_norm2,
 /// block_mr_update) that blas.h guarantees match the unfused sequence
-/// bit-for-bit.  Per-RHS results are
-/// bitwise identical to SchwarzPreconditioner::apply (asserted in
-/// tests/test_serve.cpp); the only single-RHS step skipped is mr_solve's
-/// final residual-norm reduction, which feeds a SolverStats field the
-/// Schwarz wrapper discards and does not touch the iteration fields.
+/// bit-for-bit.  Per-RHS results are bitwise identical to
+/// SchwarzPreconditioner::apply and to GcrDdWilsonSolver's block-task
+/// Schwarz (asserted in tests/test_serve.cpp).  The single-RHS steps
+/// skipped are the Dirichlet apply on the zero starting vector (its result
+/// is +0 everywhere, so r = b exactly) and mr_solve's final residual-norm
+/// reduction, which feeds a SolverStats field the Schwarz wrapper discards.
 
 #include <complex>
 #include <functional>
@@ -69,40 +70,34 @@ class MultiRhsSchwarzPreconditioner : public BlockPreconditioner<Field> {
     const LatticeGeometry& g = op_->geometry();
 
     // Workspace fields persist across applies (the preconditioner runs once
-    // per outer iteration, so reallocating 3w ~MB-scale fields each call
+    // per outer iteration, so reallocating 2w ~MB-scale fields each call
     // costs a measurable slice of the batch).  Every reused buffer is fully
-    // overwritten before it is read — rhs by copy, r and ar by the batched
+    // overwritten before it is read — r by copy, ar by the batched
     // operator — so reuse cannot change any value.
-    std::vector<Field>& rhs = ws_rhs_;
     std::vector<Field>& r = ws_r_;
     std::vector<Field>& ar = ws_ar_;
-    while (rhs.size() < w) {
-      rhs.emplace_back(g);
+    while (r.size() < w) {
       r.emplace_back(g);
       ar.emplace_back(g);
     }
-    for (std::size_t i = 0; i < w; ++i) {
-      set_zero(*outs[i]);
-      copy(rhs[i], *ins[i]);
-      if (low_store_) low_store_(rhs[i]);
-    }
-    std::vector<Field*> r_ptr(w);
     std::vector<const Field*> r_cptr(w);
     std::vector<Field*> ar_ptr(w);
-    std::vector<const Field*> x_cptr(w);
     for (std::size_t i = 0; i < w; ++i) {
-      r_ptr[i] = &r[i];
       r_cptr[i] = &r[i];
       ar_ptr[i] = &ar[i];
-      x_cptr[i] = outs[i];
     }
 
-    // r = b - A x with x = 0, in mr_solve's exact operation order.
-    op_->apply_multi(r_ptr, x_cptr);
+    // mr_solve stores b, then opens with r = -(A x) + b at x = 0.  A 0 is
+    // +0 at every site in IEEE arithmetic, so that r is the stored b bit
+    // for bit: copy it and keep both low_store calls (no Dirichlet apply
+    // on the zero vector).
     for (std::size_t i = 0; i < w; ++i) {
-      scale(-1.0, r[i]);
-      axpy(1.0, rhs[i], r[i]);
-      if (low_store_) low_store_(r[i]);
+      set_zero(*outs[i]);
+      copy(r[i], *ins[i]);
+      if (low_store_) {
+        low_store_(r[i]);  // the stored right-hand side
+        low_store_(r[i]);  // r = b - A 0, stored
+      }
     }
 
     for (int k = 0; k < mr_.steps; ++k) {
@@ -145,7 +140,6 @@ class MultiRhsSchwarzPreconditioner : public BlockPreconditioner<Field> {
   std::function<void(Field&)> low_store_;
   // Reusable per-RHS workspaces, grown to the widest batch seen.  apply_multi
   // is logically const; the service serializes dispatches, so no locking.
-  mutable std::vector<Field> ws_rhs_;
   mutable std::vector<Field> ws_r_;
   mutable std::vector<Field> ws_ar_;
 };
