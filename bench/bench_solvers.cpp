@@ -10,8 +10,10 @@
 #include "core/staggered_multishift.h"
 #include "dirac/wilson_ops.h"
 #include "gauge/staggered_links.h"
+#include "solvers/block_task_schwarz.h"
 #include "solvers/cg.h"
 #include "solvers/gcr.h"
+#include "solvers/schwarz.h"
 
 namespace {
 
@@ -55,6 +57,59 @@ void BM_SolveGcrDd(benchmark::State& state) {
 // Real time: the Schwarz blocks run on pool workers, so the CPU time of
 // the benchmark's own thread would under-report the solve.
 BENCHMARK(BM_SolveGcrDd)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// GCR-DD with fewer Schwarz blocks than pool workers (arg = blocks along
+// t; 2 is the GcrDdParams default grid).  Each block is one serial task,
+// so workers sit idle; below half the workers' worth of blocks the Schwarz
+// runs the blocks one after another with their site loops on the pool.
+void BM_SolveGcrDdBlocks(benchmark::State& state) {
+  WilsonSetup s;
+  for (auto _ : state) {
+    GcrDdParams p;
+    p.mass = 0.05;
+    p.tol = 1e-5;
+    p.block_grid = {1, 1, 1, static_cast<int>(state.range(0))};
+    GcrDdWilsonSolver solver(s.u, &s.clover, p);
+    WilsonField<double> x(s.g);
+    const SolverStats stats = solver.solve(x, s.b);
+    benchmark::DoNotOptimize(stats.final_residual);
+  }
+}
+BENCHMARK(BM_SolveGcrDdBlocks)->Arg(1)->Arg(2)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// One GCR-DD Schwarz apply (10 MR steps, half links and stores) on a Schur
+// vector.  Args: blocks along t, then 0 for the masked
+// SchwarzPreconditioner or 1 for the block-task preconditioner
+// GcrDdWilsonSolver runs.  Both give the same bits (tests/test_gcr_dd.cpp).
+void BM_SchwarzApply(benchmark::State& state) {
+  WilsonSetup s;
+  const std::array<int, kNDim> grid{1, 1, 1, static_cast<int>(state.range(0))};
+  GaugeField<float> u = convert_gauge<float>(s.u);
+  half_roundtrip(u);
+  const CloverField<float> clover = convert_clover<float>(s.clover);
+  const auto store = [](WilsonField<float>& f) {
+    half_roundtrip(f, Parity::Even);
+  };
+  const MrParams mr{10, 1.0};
+  WilsonField<float> in = convert_field<float>(s.b);
+  for (std::int64_t i = s.g.half_volume(); i < s.g.volume(); ++i) {
+    in.at(i) = WilsonSpinor<float>{};
+  }
+  WilsonField<float> out(s.g);
+  if (state.range(1) == 0) {
+    const BlockMask mask(s.g, grid);
+    WilsonCloverSchurOperator<float> op(u, &clover, 0.05, &mask);
+    SchwarzPreconditioner<WilsonField<float>> k(op, mask, mr, store);
+    for (auto _ : state) k.apply(out, in);
+  } else {
+    BlockTaskSchwarzPreconditioner<float> k(u, &clover, 0.05, grid, mr, store);
+    for (auto _ : state) k.apply(out, in);
+  }
+  state.SetLabel(state.range(1) == 0 ? "masked" : "block-task");
+}
+BENCHMARK(BM_SchwarzApply)->ArgsProduct({{1, 2, 4}, {0, 1}})
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Batched GCR-DD (arg = batch width): 8 RHS solved in batches of the given
 // width on one solver.  Per-RHS iterates are bitwise identical to width 1

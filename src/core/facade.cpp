@@ -69,9 +69,7 @@ DistributedSolveOutcome solve_wilson_clover_distributed(
   out.true_residual = wilson_clover_residual(u, req.mass, req.csw, x, b);
   out.outer_ghost_bytes = outer.traffic().spinor.total_bytes();
   out.precond_ghost_bytes = dirichlet.traffic().spinor.total_bytes();
-  out.gauge_ghost_bytes =
-      outer.traffic().gauge.total_bytes() +
-      dirichlet.traffic().gauge.total_bytes();
+  out.gauge_ghost_bytes = outer.traffic().gauge.total_bytes();
   return out;
 }
 

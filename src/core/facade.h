@@ -49,7 +49,9 @@ struct DistributedSolveOutcome {
   double true_residual = 0;
   std::uint64_t outer_ghost_bytes = 0;    ///< exchanged by the outer solver
   std::uint64_t precond_ghost_bytes = 0;  ///< must be 0 (Schwarz is comm-free)
-  std::uint64_t gauge_ghost_bytes = 0;    ///< one-time link halo
+  /// One-time link halo of the outer operator (the comms-off Dirichlet
+  /// operator exchanges none).
+  std::uint64_t gauge_ghost_bytes = 0;
 };
 
 /// The paper's production configuration end to end on the virtual cluster:

@@ -123,6 +123,24 @@ class PartitionedWilsonClover : public LinearOperator<WilsonField<Real>> {
                           const CloverField<Real>* a, double mass,
                           bool comms = true,
                           Reconstruct recon = Reconstruct::None)
+      : PartitionedWilsonClover(part, u, a, mass, comms, recon,
+                                /*resolve_recon=*/true) {}
+
+  /// Rank-local hops for a Schwarz preconditioner, driven through
+  /// apply_hop_local: comms off, no clover, and the links stored in exactly
+  /// \p recon.  LQCD_RECON is not consulted: the caller resolves the
+  /// format under the policy entry of the operator it must match.
+  static PartitionedWilsonClover block_hops(const Partitioning& part,
+                                            const GaugeField<Real>& u,
+                                            Reconstruct recon) {
+    return PartitionedWilsonClover(part, u, nullptr, 0.0, /*comms=*/false,
+                                   recon, /*resolve_recon=*/false);
+  }
+
+ private:
+  PartitionedWilsonClover(const Partitioning& part, const GaugeField<Real>& u,
+                          const CloverField<Real>* a, double mass, bool comms,
+                          Reconstruct recon, bool resolve_recon)
       : part_(part), map_(part), nt_(part.local(), part.partitioned_dims(), 1),
         mass_(mass), comms_(comms) {
     map_.scatter_gauge(u, u_local_);
@@ -155,19 +173,22 @@ class PartitionedWilsonClover : public LinearOperator<WilsonField<Real>> {
     }
     std::unique_ptr<WilsonField<Real>> tin;
     std::unique_ptr<WilsonField<Real>> tout;
-    recon_ = select_reconstruct(
-        "wilson_part", detail::dslash_aux<Real>(std::nullopt, false),
-        part.local().volume(), recon, [&](Reconstruct r) {
-          if (!tin) {
-            tin = std::make_unique<WilsonField<Real>>(part.global());
-            tout = std::make_unique<WilsonField<Real>>(part.global());
-          }
-          ensure_compressed(r);
-          const Reconstruct keep = recon_;
-          recon_ = r;
-          run(*tout, *tin, std::nullopt, /*hop_only=*/false);
-          recon_ = keep;
-        });
+    recon_ = recon;
+    if (resolve_recon) {
+      recon_ = select_reconstruct(
+          "wilson_part", detail::dslash_aux<Real>(std::nullopt, false),
+          part.local().volume(), recon, [&](Reconstruct r) {
+            if (!tin) {
+              tin = std::make_unique<WilsonField<Real>>(part.global());
+              tout = std::make_unique<WilsonField<Real>>(part.global());
+            }
+            ensure_compressed(r);
+            const Reconstruct keep = recon_;
+            recon_ = r;
+            run(*tout, *tin, std::nullopt, /*hop_only=*/false);
+            recon_ = keep;
+          });
+    }
     ensure_compressed(recon_);
     if (recon_ != Reconstruct::Twelve) u12_.clear();
     if (recon_ != Reconstruct::Eight) u8_.clear();
@@ -194,6 +215,7 @@ class PartitionedWilsonClover : public LinearOperator<WilsonField<Real>> {
     }
   }
 
+ public:
   Reconstruct recon() const { return recon_; }
   /// Resolved spinor-ghost wire precision (native unless LQCD_GHOST_PREC).
   Precision ghost_precision() const { return ghost_wire_.prec; }

@@ -8,15 +8,22 @@
 ///
 /// The blocks are the ranks of Partitioning(geom, block_grid).  Each apply
 /// copies a block's sites in through the DomainMap, sets r = b, runs
-/// `mr.steps` MR steps on persistent block-local fields and copies x out;
-/// the blocks are spread over the worker pool, each task in a
+/// `mr.steps` MR steps on persistent block-local fields and copies x out.
+/// The blocks are spread over the worker pool, each task in a
 /// SerialRegionGuard so its site loops run inline and nothing is tuned off
-/// the caller thread.  The block operator is the partitioned Wilson hop
-/// with communications off, reached per block through
-/// PartitionedWilsonClover::apply_hop_local: dropping the NeighborTable's
-/// ghost entries is exactly the Dirichlet cut, so no stencil body lives
-/// here.  The clover term is stored per block only on the parity it acts
-/// on: A_ee on even sites, A_oo^{-1} on odd sites.
+/// the caller thread.  Each block is one serial task, so the parallelism
+/// is min(blocks, workers).  With fewer blocks than half the workers (a
+/// single block on four workers), tasks would leave most workers idle, so
+/// the blocks run one after another on the caller and spread their site
+/// loops over the pool instead; the block reductions stay serial sweeps,
+/// so both ways give the same bits.
+/// The block operator is the partitioned Wilson hop with communications
+/// off, reached per block through PartitionedWilsonClover::apply_hop_local:
+/// dropping the NeighborTable's ghost entries is exactly the Dirichlet cut,
+/// so no stencil body lives here.  Its links are stored in the masked
+/// Dirichlet operator's format (dirichlet_recon).  The clover term is
+/// stored per block only on the parity it acts on: A_ee on even sites,
+/// A_oo^{-1} on odd sites.
 ///
 /// **Bitwise contract.**  apply() equals SchwarzPreconditioner over the
 /// masked WilsonCloverSchurOperator (solvers/schwarz.h) bit for bit
@@ -28,13 +35,14 @@
 ///    the fused x/r update is block_mr_update's per-site arithmetic.
 ///  * The hop visits the same neighbours in the same order with the same
 ///    links as the masked wilson_hop, and both skip exactly the cut terms.
+///    Both store the links in the same format, resolved through the masked
+///    operator's policy entry, so this holds under every LQCD_RECON.
 ///  * mr_solve opens with r = -(A 0) + b.  A 0 is +0 at every site in IEEE
 ///    arithmetic (every accumulator starts at +0, and adding or
 ///    subtracting zeros to +0 stays +0), so -(A 0) + b is b bit for bit;
 ///    the block solve sets r = b and keeps that sequence's two low_store
 ///    calls.  mr_solve's final residual norm is never read and is skipped.
-/// Block extents must therefore be even, which Partitioning already
-/// enforces: the block geometry is a LatticeGeometry.
+/// Block extents must therefore be even; the constructor checks them.
 ///
 /// **Metering.**  An apply adds `mr.steps` to inner_steps() and to
 /// `solver.schwarz.mr_steps` (steps, not steps x blocks), and counts one
@@ -48,11 +56,16 @@
 #include <complex>
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "dirac/even_odd.h"
 #include "dirac/operator.h"
 #include "dirac/partitioned.h"
+#include "dirac/recon_policy.h"
 #include "fields/clover.h"
+#include "lattice/block_mask.h"
 #include "lattice/partition.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -70,17 +83,15 @@ class BlockTaskSchwarzPreconditioner
   /// Preconditions the Schur system M_hat = A_ee - (1/4) D_eo A_oo^{-1}
   /// D_oe cut along \p block_grid.  \p clover may be null (plain Wilson);
   /// \p low_store, when set, must act site by site (a half round trip).
-  /// \throws std::invalid_argument naming the dimension if a block extent
-  /// is odd (the block geometry, like every LatticeGeometry, needs even
-  /// extents).
+  /// \throws std::invalid_argument naming the block grid, the dimension
+  /// and the block extent if a block extent is odd.
   BlockTaskSchwarzPreconditioner(const GaugeField<Real>& u,
                                  const CloverField<Real>* clover,
                                  double mass,
                                  const std::array<int, kNDim>& block_grid,
                                  MrParams mr,
                                  std::function<void(Field&)> low_store = nullptr)
-      : hop_(Partitioning(u.geometry(), block_grid), u, nullptr, mass,
-             /*comms=*/false),
+      : hop_(block_hops(u, clover, mass, block_grid)),
         mr_(mr), low_store_(std::move(low_store)) {
     const LatticeGeometry& local = hop_.partitioning().local();
     const int nb = num_blocks();
@@ -102,10 +113,16 @@ class BlockTaskSchwarzPreconditioner
 
   void apply(Field& out, const Field& in) const override {
     ScopedSpan span("schwarz.apply");
-    parallel_for(num_blocks(), [&](std::int64_t b) {
-      SerialRegionGuard serial;
-      solve_block(static_cast<int>(b), out, in);
-    });
+    if (2 * num_blocks() >= worker_count()) {
+      parallel_for(num_blocks(), [&](std::int64_t b) {
+        SerialRegionGuard serial;
+        solve_block(static_cast<int>(b), out, in);
+      });
+    } else {
+      // One task per block would leave most workers idle: run the blocks
+      // one after another, each spreading its site loops over the pool.
+      for (int b = 0; b < num_blocks(); ++b) solve_block(b, out, in);
+    }
     inner_steps_ += mr_.steps;
     metric_counter("solver.schwarz.mr_steps")
         .add(static_cast<std::uint64_t>(mr_.steps));
@@ -121,32 +138,85 @@ class BlockTaskSchwarzPreconditioner
   /// like SchwarzPreconditioner's tally.
   int inner_steps() const { return inner_steps_; }
 
+  /// Link format of the block hops (see dirichlet_recon).
+  Reconstruct recon() const { return hop_.recon(); }
+
  private:
+  /// The block hops, once the block extents are known to be even.
+  static PartitionedWilsonClover<Real> block_hops(
+      const GaugeField<Real>& u, const CloverField<Real>* clover, double mass,
+      const std::array<int, kNDim>& grid) {
+    const LatticeGeometry& g = u.geometry();
+    for (int mu = 0; mu < kNDim; ++mu) {
+      const int n = grid[static_cast<std::size_t>(mu)];
+      if (n < 1 || g.dim(mu) % n != 0 || (g.dim(mu) / n) % 2 == 0) continue;
+      std::string name = "{";
+      for (int nu = 0; nu < kNDim; ++nu) {
+        name += (nu > 0 ? "," : "") +
+                std::to_string(grid[static_cast<std::size_t>(nu)]);
+      }
+      name += "}";
+      throw std::invalid_argument(
+          "block-task Schwarz: block grid " + name + " gives blocks of odd " +
+          "extent " + std::to_string(g.dim(mu) / n) + " in dimension " +
+          std::to_string(mu) + " (lattice extent " +
+          std::to_string(g.dim(mu)) + "); block extents must be even");
+    }
+    return PartitionedWilsonClover<Real>::block_hops(
+        Partitioning(g, grid), u, dirichlet_recon(u, clover, mass, grid));
+  }
+
+  /// The link format of the masked Dirichlet operator, resolved through
+  /// that operator's own policy entry (`wilson_schur_recon`, aux `cut`).
+  /// The batched Schwarz runs the masked operator, so under every
+  /// LQCD_RECON setting both paths run the same links, and 12/8
+  /// reconstruction of the half-rounded links rounds the same way in both.
+  /// Under `tune` the entry is resolved on a transient masked operator,
+  /// exactly as the batched solver resolves it.
+  static Reconstruct dirichlet_recon(const GaugeField<Real>& u,
+                                     const CloverField<Real>* clover,
+                                     double mass,
+                                     const std::array<int, kNDim>& grid) {
+    const ReconSetting& s = recon_setting();
+    if (s.forced.has_value()) return *s.forced;
+    if (!s.tune) return Reconstruct::None;
+    const BlockMask mask(u.geometry(), grid);
+    return WilsonCloverSchurOperator<Real>(u, clover, mass, &mask).recon();
+  }
+
+  /// One site's terms of the MR dot and norm.
+  struct Term {
+    Cplx<Real> dot;
+    Real norm;
+  };
+
   /// One block's persistent state, all on the block-local geometry.
   struct Block {
     explicit Block(const LatticeGeometry& g)
-        : clover(g), x(g), r(g), ar(g), tmp(g) {}
+        : clover(g), x(g), r(g), ar(g), tmp(g),
+          terms(static_cast<std::size_t>(g.volume())) {}
     CloverField<Real> clover;  ///< A_ee on even sites, A_oo^{-1} on odd
     Field x, r, ar, tmp;
+    std::vector<Term> terms;
   };
 
   /// k.ar = M_hat k.r on block b: apply_impl of the masked
   /// WilsonCloverSchurOperator, step for step.
   void block_op(int b, Block& k) const {
-    const LatticeGeometry& g = k.r.geometry();
-    const std::int64_t h = g.half_volume();
+    const std::int64_t h = k.r.geometry().half_volume();
     hop_.apply_hop_local(b, k.tmp, k.r, Parity::Odd);
-    for (std::int64_t s = h; s < g.volume(); ++s) {
+    parallel_for(h, [&](std::int64_t i) {
+      const std::int64_t s = h + i;
       k.tmp.at(s) = clover_apply(k.clover.at(s), k.tmp.at(s));
-    }
+    });
     hop_.apply_hop_local(b, k.ar, k.tmp, Parity::Even);
-    for (std::int64_t s = 0; s < h; ++s) {
+    parallel_for(h, [&](std::int64_t s) {
       WilsonSpinor<Real> v = clover_apply(k.clover.at(s), k.r.at(s));
       WilsonSpinor<Real> hop = k.ar.at(s);
       hop *= Real(-0.25);
       v += hop;
       k.ar.at(s) = v;
-    }
+    });
   }
 
   /// The whole MR solve of block b: mr_solve's masked sequence restricted
@@ -158,9 +228,11 @@ class BlockTaskSchwarzPreconditioner
     auto rs = k.r.sites();
     auto as = k.ar.sites();
     const auto src = in.sites();
-    for (std::size_t i = 0; i < rs.size(); ++i) {
-      rs[i] = src[static_cast<std::size_t>(map[i])];
-    }
+    const auto n = static_cast<std::int64_t>(rs.size());
+    parallel_for(n, [&](std::int64_t i) {
+      const auto j = static_cast<std::size_t>(i);
+      rs[j] = src[static_cast<std::size_t>(map[j])];
+    });
     k.x.set_zero();
     if (low_store_) {
       low_store_(k.r);  // the stored right-hand side
@@ -171,36 +243,43 @@ class BlockTaskSchwarzPreconditioner
         ScopedSpan op_span("mr.op");
         block_op(b, k);
       }
-      // block_dot_norm2: <ar, r> and |ar|^2 in one pass.
+      // block_dot_norm2: <ar, r> and |ar|^2.  The per-site terms come from
+      // one pass; only their sum is a serial sweep, so it adds the same
+      // terms in site order however the site loops run.
+      parallel_for(n, [&](std::int64_t i) {
+        const auto j = static_cast<std::size_t>(i);
+        k.terms[j] = {inner(as[j], rs[j]), norm2(as[j])};
+      });
       std::complex<double> num{};
       double den = 0;
-      for (std::size_t i = 0; i < as.size(); ++i) {
-        const auto v = inner(as[i], rs[i]);
-        num += std::complex<double>(v.real(), v.imag());
-        den += static_cast<double>(norm2(as[i]));
+      for (const Term& t : k.terms) {
+        num += std::complex<double>(t.dot.real(), t.dot.imag());
+        den += static_cast<double>(t.norm);
       }
       const std::complex<double> alpha =
           den > 0 ? mr_.omega * num / den : std::complex<double>{};
       // block_mr_update: x += alpha r, r -= alpha ar in one pass.
       const Cplx<Real> ac(static_cast<Real>(alpha.real()),
                           static_cast<Real>(alpha.imag()));
-      for (std::size_t i = 0; i < xs.size(); ++i) {
-        WilsonSpinor<Real> t = rs[i];
+      parallel_for(n, [&](std::int64_t i) {
+        const auto j = static_cast<std::size_t>(i);
+        WilsonSpinor<Real> t = rs[j];
         t *= ac;
-        xs[i] += t;
-        WilsonSpinor<Real> s = as[i];
+        xs[j] += t;
+        WilsonSpinor<Real> s = as[j];
         s *= ac;
-        rs[i] -= s;
-      }
+        rs[j] -= s;
+      });
       if (low_store_) {
         low_store_(k.x);
         low_store_(k.r);
       }
     }
     auto dst = out.sites();
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      dst[static_cast<std::size_t>(map[i])] = xs[i];
-    }
+    parallel_for(n, [&](std::int64_t i) {
+      const auto j = static_cast<std::size_t>(i);
+      dst[static_cast<std::size_t>(map[j])] = xs[j];
+    });
   }
 
   PartitionedWilsonClover<Real> hop_;  ///< comms off, no clover

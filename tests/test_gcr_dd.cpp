@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -20,6 +22,8 @@
 #include "obs/metrics.h"
 #include "solvers/block_task_schwarz.h"
 #include "solvers/schwarz.h"
+#include "tune/tune_cache.h"
+#include "util/parallel_for.h"
 
 namespace lqcd {
 namespace {
@@ -413,30 +417,103 @@ TEST(BlockTaskSchwarz, BitwiseMatchesMaskedReference) {
   // Over lattice and block shapes, half and single stores, with and
   // without clover, and with a twisted-mass term.  The double runs keep
   // alpha in double, so they also catch a change in the order of the
-  // block reductions, which a float alpha usually rounds away.
+  // block reductions, which a float alpha usually rounds away.  Two
+  // workers run every case one task per block; sixteen run the 2- and
+  // 4-block cases block after block with the site loops on the pool (the
+  // 64-block case would run as tasks again, so it is skipped there).
   const BlockTaskCase cases[] = {{{4, 4, 4, 8}, {1, 1, 1, 2}},
                                  {{8, 8, 8, 8}, {1, 1, 2, 2}},
                                  {{4, 4, 8, 8}, {2, 2, 4, 4}}};
-  for (const BlockTaskCase& c : cases) {
-    const LatticeGeometry g(c.dims);
-    const GaugeField<double> u = hot_gauge(g, 401);
-    const CloverField<double> a = build_clover_field(u, 1.0);
-    for (const bool with_clover : {false, true}) {
-      for (const double mu : {0.0, 0.15}) {
-        const CloverField<double>* ap = with_clover ? &a : nullptr;
-        SCOPED_TRACE("volume " + std::to_string(g.volume()) + " grid t " +
-                     std::to_string(c.grid[3]) + " clover " +
-                     std::to_string(with_clover) + " mu " +
-                     std::to_string(mu));
-        for (const bool half : {true, false}) {
-          SCOPED_TRACE(half ? "float, half" : "float, single");
-          expect_matches_masked<float>(c, u, ap, mu, half);
+  const int workers = worker_count();
+  for (const int w : {2, 16}) {
+    set_worker_count(w);
+    for (const BlockTaskCase& c : cases) {
+      if (w == 16 && c.grid[0] * c.grid[1] * c.grid[2] * c.grid[3] >= 8) {
+        continue;
+      }
+      const LatticeGeometry g(c.dims);
+      const GaugeField<double> u = hot_gauge(g, 401);
+      const CloverField<double> a = build_clover_field(u, 1.0);
+      for (const bool with_clover : {false, true}) {
+        for (const double mu : {0.0, 0.15}) {
+          const CloverField<double>* ap = with_clover ? &a : nullptr;
+          SCOPED_TRACE("workers " + std::to_string(w) + " volume " +
+                       std::to_string(g.volume()) + " grid t " +
+                       std::to_string(c.grid[3]) + " clover " +
+                       std::to_string(with_clover) + " mu " +
+                       std::to_string(mu));
+          for (const bool half : {true, false}) {
+            SCOPED_TRACE(half ? "float, half" : "float, single");
+            expect_matches_masked<float>(c, u, ap, mu, half);
+          }
+          SCOPED_TRACE("double");
+          expect_matches_masked<double>(c, u, ap, mu, false);
         }
-        SCOPED_TRACE("double");
-        expect_matches_masked<double>(c, u, ap, mu, false);
       }
     }
   }
+  set_worker_count(workers);
+}
+
+TEST(BlockTaskSchwarz, LinkFormatFollowsTheMaskedOperator) {
+  // The batched Schwarz runs the masked operator and GcrDdWilsonSolver the
+  // block hops, so both must store the links in the same format under
+  // every LQCD_RECON setting.  For `tune`, the cache is seeded so that the
+  // masked operator's entry and the partitioned operator's own entry
+  // disagree: the block hops must follow the masked one.
+  const LatticeGeometry g({4, 4, 4, 8});
+  const std::array<int, kNDim> grid{1, 1, 1, 2};
+  GaugeField<float> u = convert_gauge<float>(hot_gauge(g, 409));
+  half_roundtrip(u);
+  const auto store = [](WilsonField<float>& f) {
+    half_roundtrip(f, Parity::Even);
+  };
+  const BlockMask mask(g, grid);
+  const MrParams mr{10, 1.0};
+  const auto recon_row = [](Reconstruct r) {
+    TuneResult res;
+    res.param = std::string("recon=") + to_string(r);
+    return res;
+  };
+  const TuneKey masked_key{"wilson_schur_recon", "f32,cut", g.half_volume(),
+                           worker_count()};
+  const TuneKey part_key{"wilson_part_recon", "f32",
+                         Partitioning(g, grid).local().volume(),
+                         worker_count()};
+  global_tune_cache().import_entries(
+      {{masked_key, recon_row(Reconstruct::Eight)},
+       {part_key, recon_row(Reconstruct::Twelve)}});
+  const bool tuning = tuning_enabled();
+  set_tuning_enabled(true);
+  const char* env = std::getenv("LQCD_RECON");
+  const std::optional<std::string> saved =
+      env != nullptr ? std::optional<std::string>(env) : std::nullopt;
+  const WilsonField<float> in =
+      convert_field<float>(gaussian_wilson_source(g, 410));
+  for (const char* setting : {"12", "8", "tune"}) {
+    SCOPED_TRACE(std::string("LQCD_RECON=") + setting);
+    ASSERT_EQ(setenv("LQCD_RECON", setting, 1), 0);
+    init_recon_from_env();
+    WilsonCloverSchurOperator<float> masked(u, nullptr, -0.2, &mask);
+    SchwarzPreconditioner<WilsonField<float>> ref(masked, mask, mr, store);
+    BlockTaskSchwarzPreconditioner<float> blocks(u, nullptr, -0.2, grid, mr,
+                                                 store);
+    EXPECT_EQ(blocks.recon(), masked.recon());
+    EXPECT_NE(blocks.recon(), Reconstruct::None);
+    WilsonField<float> want(g), got(g);
+    ref.apply(want, in);
+    blocks.apply(got, in);
+    EXPECT_TRUE(bitwise_equal(want, got));
+  }
+  if (saved) {
+    setenv("LQCD_RECON", saved->c_str(), 1);
+  } else {
+    unsetenv("LQCD_RECON");
+  }
+  init_recon_from_env();
+  set_tuning_enabled(tuning);
+  global_tune_cache().invalidate(masked_key);
+  global_tune_cache().invalidate(part_key);
 }
 
 TEST(BlockTaskSchwarz, MetersStepsPerApplyNotPerBlock) {
@@ -464,25 +541,29 @@ TEST(BlockTaskSchwarz, MetersStepsPerApplyNotPerBlock) {
 
 TEST(GcrDd, RejectsOddBlockExtentNamingTheDimension) {
   // Block-local even-odd order equals the global order only when block
-  // origins are even, so odd block extents are refused up front.
+  // origins are even, so odd block extents are refused up front, with a
+  // message naming the block grid, the dimension and the block extent.
   struct Bad {
     std::array<int, kNDim> dims;
     std::array<int, kNDim> grid;
-    int dim;
+    const char* want;
   };
-  for (const Bad& c : {Bad{{4, 4, 4, 6}, {1, 1, 1, 2}, 3},
-                       Bad{{6, 4, 4, 4}, {2, 1, 1, 1}, 0}}) {
+  for (const Bad& c :
+       {Bad{{4, 4, 4, 6}, {1, 1, 1, 2},
+            "block grid {1,1,1,2} gives blocks of odd extent 3 in "
+            "dimension 3 (lattice extent 6)"},
+        Bad{{10, 4, 4, 4}, {2, 1, 1, 2},
+            "block grid {2,1,1,2} gives blocks of odd extent 5 in "
+            "dimension 0 (lattice extent 10)"}}) {
     const LatticeGeometry g(c.dims);
     const GaugeField<double> u = hot_gauge(g, 406);
     GcrDdParams p;
     p.block_grid = c.grid;
     try {
       GcrDdWilsonSolver solver(u, nullptr, p);
-      ADD_FAILURE() << "odd block extent accepted in dimension " << c.dim;
+      ADD_FAILURE() << "odd block extent accepted: " << c.want;
     } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("dimension " +
-                                           std::to_string(c.dim)),
-                std::string::npos)
+      EXPECT_NE(std::string(e.what()).find(c.want), std::string::npos)
           << e.what();
     }
   }
