@@ -17,6 +17,7 @@
 #include "dirac/wilson_kernel.h"
 #include "dirac/wilson_ops.h"
 #include "fields/compressed_gauge.h"
+#include "fields/precision.h"
 #include "fields/soa_field.h"
 #include "gauge/clover_leaf.h"
 #include "gauge/configure.h"
@@ -294,22 +295,36 @@ void BM_StaggeredHopSoA(benchmark::State& state) {
 }
 BENCHMARK(BM_StaggeredHopSoA)->Unit(benchmark::kMillisecond);
 
+// (M^dag M)_ee on an L^4 lattice (arg0 = L).  The site loops run on the
+// worker pool, so the time is wall-clock (real_time).
+template <typename Real>
 void BM_StaggeredSchurApply(benchmark::State& state) {
-  const LatticeGeometry g({8, 8, 8, 8});
+  const int l = static_cast<int>(state.range(0));
+  const LatticeGeometry g({l, l, l, l});
   const GaugeField<double> u = hot_gauge(g, 5);
   const AsqtadLinks links = build_asqtad_links(u);
-  StaggeredSchurOperator<double> schur(links.fat, links.lng, 0.05, 0.0);
-  StaggeredField<double> in = gaussian_staggered_source(g, 6);
+  const GaugeField<Real> fat = convert_gauge<Real>(links.fat);
+  const GaugeField<Real> lng = convert_gauge<Real>(links.lng);
+  StaggeredSchurOperator<Real> schur(fat, lng, 0.05, 0.0);
+  StaggeredField<Real> in =
+      convert_field<Real>(gaussian_staggered_source(g, 6));
   for (std::int64_t s = g.half_volume(); s < g.volume(); ++s) {
-    in.at(s) = ColorVector<double>{};
+    in.at(s) = ColorVector<Real>{};
   }
-  StaggeredField<double> out(g);
+  StaggeredField<Real> out(g);
+  // One untimed apply runs the tune sweeps, which at 16^4 would otherwise
+  // fill the single timed iteration a short min_time allows.
+  schur.apply(out, in);
   for (auto _ : state) {
     schur.apply(out, in);
     benchmark::DoNotOptimize(out.sites().data());
+    benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_StaggeredSchurApply)->Unit(benchmark::kMillisecond);
+BENCHMARK_TEMPLATE(BM_StaggeredSchurApply, double)
+    ->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK_TEMPLATE(BM_StaggeredSchurApply, float)
+    ->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_PartitionedWilson(benchmark::State& state) {
   // The virtual-cluster dslash under both rank runtimes.  arg0 selects the

@@ -331,26 +331,14 @@ inline void staggered_site_hop4(ColorVector<float>* const* out,
   for (int c = 0; c < kNColor; ++c) acc[c] = cv_zero();
   CplxV4 v[kNColor];
   for (int mu = 0; mu < kNDim; ++mu) {
-    if (sp[mu] >= 0) {
-      const Matrix3<float>& link = fat.link(mu, s);
-      gather4(v, in, sp[mu]);
-      stag_leg4(link, /*adjoint=*/false, /*add=*/true, v, acc);
-    }
-    if (sm[mu] >= 0) {
-      const Matrix3<float>& link = fat.link(mu, sm[mu]);
-      gather4(v, in, sm[mu]);
-      stag_leg4(link, /*adjoint=*/true, /*add=*/false, v, acc);
-    }
-    if (sp3[mu] >= 0) {
-      const Matrix3<float>& link = lng.link(mu, s);
-      gather4(v, in, sp3[mu]);
-      stag_leg4(link, /*adjoint=*/false, /*add=*/true, v, acc);
-    }
-    if (sm3[mu] >= 0) {
-      const Matrix3<float>& link = lng.link(mu, sm3[mu]);
-      gather4(v, in, sm3[mu]);
-      stag_leg4(link, /*adjoint=*/true, /*add=*/false, v, acc);
-    }
+    gather4(v, in, sp[mu]);
+    stag_leg4(fat.link(mu, s), /*adjoint=*/false, /*add=*/true, v, acc);
+    gather4(v, in, sm[mu]);
+    stag_leg4(fat.link(mu, sm[mu]), /*adjoint=*/true, /*add=*/false, v, acc);
+    gather4(v, in, sp3[mu]);
+    stag_leg4(lng.link(mu, s), /*adjoint=*/false, /*add=*/true, v, acc);
+    gather4(v, in, sm3[mu]);
+    stag_leg4(lng.link(mu, sm3[mu]), /*adjoint=*/true, /*add=*/false, v, acc);
   }
   for (int l = 0; l < 4; ++l) {
     ColorVector<float>& o = out[l][s];
@@ -455,8 +443,7 @@ void staggered_hop_multi_group(const std::vector<StaggeredField<Real>*>& outs,
                                const std::vector<const StaggeredField<Real>*>&
                                    ins,
                                std::size_t base, int w,
-                               std::optional<Parity> target,
-                               const LinkCut* mask) {
+                               std::optional<Parity> target) {
   const LatticeGeometry& g = ins[base]->geometry();
   const std::int64_t begin =
       target.has_value() && *target == Parity::Odd ? g.half_volume() : 0;
@@ -472,8 +459,7 @@ void staggered_hop_multi_group(const std::vector<StaggeredField<Real>*>& outs,
   }
   tuned_site_loop(
       "staggered_hop_multi",
-      multi_rhs_aux(
-          dslash_aux<Real>(target, mask != nullptr, gauge_recon(fat)), w),
+      multi_rhs_aux(dslash_aux<Real>(target, false, gauge_recon(fat)), w),
       outs[base]->sites(), end - begin, [&](std::int64_t idx) {
     const std::int64_t s = begin + idx;
     const Coord x = g.eo_coords(s);
@@ -483,18 +469,10 @@ void staggered_hop_multi_group(const std::vector<StaggeredField<Real>*>& outs,
     std::int64_t sp3[kNDim];
     std::int64_t sm3[kNDim];
     for (int mu = 0; mu < kNDim; ++mu) {
-      sp[mu] = (mask == nullptr || !mask->crosses(x, mu, +1))
-                   ? g.eo_index(g.shifted(x, mu, +1))
-                   : -1;
-      sm[mu] = (mask == nullptr || !mask->crosses(x, mu, -1))
-                   ? g.eo_index(g.shifted(x, mu, -1))
-                   : -1;
-      sp3[mu] = (mask == nullptr || !mask->crosses(x, mu, +3))
-                    ? g.eo_index(g.shifted(x, mu, +3))
-                    : -1;
-      sm3[mu] = (mask == nullptr || !mask->crosses(x, mu, -3))
-                    ? g.eo_index(g.shifted(x, mu, -3))
-                    : -1;
+      sp[mu] = g.eo_index(g.shifted(x, mu, +1));
+      sm[mu] = g.eo_index(g.shifted(x, mu, -1));
+      sp3[mu] = g.eo_index(g.shifted(x, mu, +3));
+      sm3[mu] = g.eo_index(g.shifted(x, mu, -3));
     }
     int r0 = 0;
 #ifdef LQCD_MULTI_RHS_SIMD
@@ -508,10 +486,10 @@ void staggered_hop_multi_group(const std::vector<StaggeredField<Real>*>& outs,
     for (int r = r0; r < w; ++r) {
       ColorVector<Real> acc{};
       for (int mu = 0; mu < kNDim; ++mu) {
-        if (sp[mu] >= 0) acc += fat.link(mu, s) * in[r][sp[mu]];
-        if (sm[mu] >= 0) acc -= adj_mul(fat.link(mu, sm[mu]), in[r][sm[mu]]);
-        if (sp3[mu] >= 0) acc += lng.link(mu, s) * in[r][sp3[mu]];
-        if (sm3[mu] >= 0) acc -= adj_mul(lng.link(mu, sm3[mu]), in[r][sm3[mu]]);
+        acc += fat.link(mu, s) * in[r][sp[mu]];
+        acc -= adj_mul(fat.link(mu, sm[mu]), in[r][sm[mu]]);
+        acc += lng.link(mu, s) * in[r][sp3[mu]];
+        acc -= adj_mul(lng.link(mu, sm3[mu]), in[r][sm3[mu]]);
       }
       out[r][s] = acc;
     }
@@ -539,18 +517,17 @@ void wilson_hop_multi(const std::vector<WilsonField<Real>*>& outs,
   }
 }
 
-/// The multi-RHS twin of staggered_hop (fat 1-hop + long 3-hop).
+/// The multi-RHS twin of staggered_hop (fat 1-hop + long 3-hop), without
+/// a Dirichlet cut: no batched staggered caller cuts links.
 template <typename Real, typename Gauge>
 void staggered_hop_multi(const std::vector<StaggeredField<Real>*>& outs,
                          const Gauge& fat, const Gauge& lng,
                          const std::vector<const StaggeredField<Real>*>& ins,
-                         std::optional<Parity> target = std::nullopt,
-                         const LinkCut* mask = nullptr) {
+                         std::optional<Parity> target = std::nullopt) {
   for (std::size_t base = 0; base < ins.size(); base += kMaxMultiRhs) {
     const int w = static_cast<int>(
         std::min<std::size_t>(kMaxMultiRhs, ins.size() - base));
-    detail::staggered_hop_multi_group(outs, fat, lng, ins, base, w, target,
-                                      mask);
+    detail::staggered_hop_multi_group(outs, fat, lng, ins, base, w, target);
   }
 }
 

@@ -35,6 +35,7 @@
 #include "dirac/dslash_tune.h"
 #include "dirac/operator.h"
 #include "dirac/recon_policy.h"
+#include "dirac/staggered.h"
 #include "fields/clover.h"
 #include "fields/compressed_gauge.h"
 #include "lattice/neighbor_table.h"
@@ -673,8 +674,9 @@ class PartitionedStaggered : public LinearOperator<StaggeredField<Real>> {
     detail::accumulate(overlap_, samples);
   }
 
-  /// One signed hop contribution if its source is local (interior) or in
-  /// the mu ghost (exterior); returns whether it was a ghost term.
+  /// out = m in + D in / 2 on every local site, from the rank-local
+  /// neighbours only (the shared staggered site body); the exterior
+  /// kernels add the ghost terms.
   void interior_kernel(int r) const {
     const LatticeGeometry& local = part_.local();
     const auto& fat = fat_local_[static_cast<std::size_t>(r)];
@@ -685,21 +687,7 @@ class PartitionedStaggered : public LinearOperator<StaggeredField<Real>> {
     tuned_site_loop(
         "staggered_part_interior", detail::dslash_aux<Real>(std::nullopt, false),
         out.sites(), local.volume(), [&](std::int64_t s) {
-      ColorVector<Real> hop{};
-      for (int mu = 0; mu < kNDim; ++mu) {
-        const auto f1 = nt_.neighbor(s, mu, +1, 1);
-        if (f1.local()) hop += fat.link(mu, s) * in.at(f1.index);
-        const auto b1 = nt_.neighbor(s, mu, -1, 1);
-        if (b1.local()) {
-          hop -= adj_mul(fat.link(mu, b1.index), in.at(b1.index));
-        }
-        const auto f3 = nt_.neighbor(s, mu, +3, 3);
-        if (f3.local()) hop += lng.link(mu, s) * in.at(f3.index);
-        const auto b3 = nt_.neighbor(s, mu, -3, 3);
-        if (b3.local()) {
-          hop -= adj_mul(lng.link(mu, b3.index), in.at(b3.index));
-        }
-      }
+      ColorVector<Real> hop = detail::staggered_local_hop(nt_, fat, lng, in, s);
       ColorVector<Real> v = in.at(s);
       v *= m;
       hop *= Real(0.5);

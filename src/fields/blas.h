@@ -15,13 +15,13 @@
 /// **Sweep accounting.**  Every operation here makes exactly one pass over
 /// the lattice index space and adds 1 to the `blas.sweeps` counter — the
 /// currency of the fused-kernel arithmetic in DESIGN.md §13.  The fused
-/// variants (block_cdot, block_caxpy_norm2, caxpy_norm2, scale_cdot,
-/// xmy_norm2, block_dot_norm2, block_mr_update) replace several passes
-/// with one; they are bitwise identical
-/// to the sequences they replace because (a) per-site update order matches
-/// the unfused op sequence exactly and (b) reductions always run on the
-/// fixed default chunk grid with partials combined in chunk order
-/// (util/parallel_for.h), never on the autotuner's swept grid.
+/// variants (block_cdot, block_caxpy_norm2, caxpy_norm2, cg_update_norm2,
+/// cg_direction_update, scale_cdot, xmy_norm2, block_dot_norm2,
+/// block_mr_update) replace several passes with one; they are bitwise
+/// identical to the sequences they replace because (a) per-site update
+/// order matches the unfused op sequence exactly and (b) reductions always
+/// run on the fixed default chunk grid with partials combined in chunk
+/// order (util/parallel_for.h), never on the autotuner's swept grid.
 
 #include <complex>
 #include <vector>
@@ -369,6 +369,100 @@ double caxpy_norm2(std::complex<double> a, const LatticeField<Site>& x,
   double total = 0;
   for (const double p : partial) total += p;
   return total;
+}
+
+/// x_j += a_j p_j for every j, then y += b w, returning ||y||^2, in one
+/// pass — the solution and residual updates of a (multi-shift) CG
+/// iteration with the residual norm (axpy per j, axpy, norm2 fused; bitwise
+/// equal to the sequence).  Runs on the fixed reduction grid.  Each x_j
+/// must be distinct from every other field of the call.
+template <typename Site>
+double cg_update_norm2(const std::vector<double>& a,
+                       const std::vector<const LatticeField<Site>*>& ps,
+                       const std::vector<LatticeField<Site>*>& xs, double b,
+                       const LatticeField<Site>& w, LatticeField<Site>& y) {
+  using Real = detail::site_real_t<Site>;
+  const std::size_t k = xs.size();
+  detail::count_blas_sweep();
+  std::vector<Real> ar(k);
+  for (std::size_t j = 0; j < k; ++j) ar[j] = static_cast<Real>(a[j]);
+  const Real br = static_cast<Real>(b);
+  auto ws = w.sites();
+  auto ys = y.sites();
+  const std::int64_t n = static_cast<std::int64_t>(ys.size());
+  const int chunks = default_chunk_count(n);
+  std::vector<double> partial(static_cast<std::size_t>(chunks));
+  detail::run_chunked(n, chunks, [&](int c, std::int64_t lo, std::int64_t hi) {
+    for (std::size_t j = 0; j < k; ++j) {
+      auto pj = ps[j]->sites();
+      auto xj = xs[j]->sites();
+      for (std::int64_t i = lo; i < hi; ++i) {
+        const auto u = static_cast<std::size_t>(i);
+        Site t = pj[u];
+        t *= ar[j];
+        xj[u] += t;
+      }
+    }
+    double acc = 0;
+    for (std::int64_t i = lo; i < hi; ++i) {
+      const auto u = static_cast<std::size_t>(i);
+      Site t = ws[u];
+      t *= br;
+      ys[u] += t;
+      acc += static_cast<double>(norm2(ys[u]));
+    }
+    partial[static_cast<std::size_t>(c)] = acc;
+  });
+  double total = 0;
+  for (const double p : partial) total += p;
+  return total;
+}
+
+/// p = r + alpha p, then p_j = alpha_j p_j + zeta_j r for every j, in one
+/// pass — the search-direction updates of a (multi-shift) CG iteration
+/// (xpay, then scale + axpy per j, fused; bitwise equal to the sequence).
+/// Runs untuned on the default grid: the loop writes several fields, which
+/// the site-loop tuner's single save/restore span cannot cover.  Each p_j
+/// must be distinct from r and p.
+template <typename Site>
+void cg_direction_update(const LatticeField<Site>& r, double alpha,
+                         LatticeField<Site>& p,
+                         const std::vector<double>& alphas,
+                         const std::vector<double>& zetas,
+                         const std::vector<LatticeField<Site>*>& ps) {
+  using Real = detail::site_real_t<Site>;
+  const std::size_t k = ps.size();
+  detail::count_blas_sweep();
+  const Real ar = static_cast<Real>(alpha);
+  std::vector<Real> alr(k);
+  std::vector<Real> zr(k);
+  for (std::size_t j = 0; j < k; ++j) {
+    alr[j] = static_cast<Real>(alphas[j]);
+    zr[j] = static_cast<Real>(zetas[j]);
+  }
+  auto rs = r.sites();
+  auto p0 = p.sites();
+  const std::int64_t n = static_cast<std::int64_t>(p0.size());
+  detail::run_chunked(n, default_chunk_count(n),
+                      [&](int, std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) {
+      const auto u = static_cast<std::size_t>(i);
+      Site t = p0[u];
+      t *= ar;
+      t += rs[u];
+      p0[u] = t;
+    }
+    for (std::size_t j = 0; j < k; ++j) {
+      auto pj = ps[j]->sites();
+      for (std::int64_t i = lo; i < hi; ++i) {
+        const auto u = static_cast<std::size_t>(i);
+        pj[u] *= alr[j];
+        Site t = rs[u];
+        t *= zr[j];
+        pj[u] += t;
+      }
+    }
+  });
 }
 
 /// x *= a, returning <x, w>, in one pass (scale + dot fused; bitwise equal

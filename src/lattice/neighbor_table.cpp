@@ -1,6 +1,9 @@
 #include "lattice/neighbor_table.h"
 
+#include <map>
+#include <mutex>
 #include <stdexcept>
+#include <utility>
 
 namespace lqcd {
 
@@ -56,6 +59,27 @@ NeighborTable::NeighborTable(const LatticeGeometry& local,
       }
     }
   }
+}
+
+std::shared_ptr<const NeighborTable> shared_local_neighbors(
+    const LatticeGeometry& geom, int max_hop) {
+  using Key = std::pair<std::array<int, kNDim>, int>;
+  static std::mutex memo_mutex;
+  static std::map<Key, std::weak_ptr<const NeighborTable>> memo;
+  std::lock_guard<std::mutex> lock(memo_mutex);
+  // Drop the entries whose tables are gone, so the map stays as small as
+  // the set of extents in use.
+  std::erase_if(memo, [](const auto& e) { return e.second.expired(); });
+  std::weak_ptr<const NeighborTable>& slot = memo[{geom.dims(), max_hop}];
+  std::shared_ptr<const NeighborTable> table = slot.lock();
+  if (!table) {
+    // Built under the lock: concurrent first callers wait for this one
+    // table instead of each building their own.
+    table = std::make_shared<const NeighborTable>(
+        geom, std::array<bool, kNDim>{false, false, false, false}, max_hop);
+    slot = table;
+  }
+  return table;
 }
 
 }  // namespace lqcd

@@ -19,6 +19,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "lattice/face.h"
@@ -95,5 +96,14 @@ class NeighborTable {
   std::vector<FaceIndexer> faces_;
   std::vector<Ref> table_;
 };
+
+/// The unpartitioned table (every dimension wraps locally, so every entry
+/// is Local) of \p geom's extents and stencil reach \p max_hop.  Callers on
+/// the same extents and reach share one immutable table: the memo holds it
+/// only weakly, so it lives while some caller holds the returned pointer
+/// and is rebuilt by the next call after the last holder lets go.
+/// Thread-safe.
+std::shared_ptr<const NeighborTable> shared_local_neighbors(
+    const LatticeGeometry& geom, int max_hop);
 
 }  // namespace lqcd

@@ -38,11 +38,9 @@ SolverStats cg_solve(const LinearOperator<Field>& a, Field& x, const Field& b,
 
   a.apply(ap, x);
   ++stats.matvecs;
-  copy(r, b);
-  axpy(-1.0, ap, r);
+  double rr = xmy_norm2(b, ap, r);  // r = b - A x
   copy(p, r);
 
-  double rr = norm2(r);
   const double target2 = params.tol * params.tol * b2;
 
   while (rr > target2 && stats.iterations < params.max_iter) {
@@ -51,18 +49,18 @@ SolverStats cg_solve(const LinearOperator<Field>& a, Field& x, const Field& b,
     const double pap = dot(p, ap).real();
     if (pap <= 0) break;  // loss of positive definiteness (breakdown)
     const double alpha = rr / pap;
-    axpy(alpha, p, x);
+    double rr_new = 0;
     if (params.reliable_every > 0 &&
         (stats.iterations + 1) % params.reliable_every == 0) {
+      axpy(alpha, p, x);
       a.apply(ap, x);
       ++stats.matvecs;
-      copy(r, b);
-      axpy(-1.0, ap, r);
+      rr_new = xmy_norm2(b, ap, r);
       ++stats.restarts;
     } else {
-      axpy(-alpha, ap, r);
+      // x += alpha p and r -= alpha ap, with |r|^2, in one pass.
+      rr_new = cg_update_norm2({alpha}, {&p}, {&x}, -alpha, ap, r);
     }
-    const double rr_new = norm2(r);
     xpay(r, rr_new / rr, p);
     rr = rr_new;
     ++stats.iterations;

@@ -86,6 +86,12 @@ SolverStats multishift_cg_solve(const LinearOperator<Field>& a,
   double rr = norm2(r);
   const double target2 = params.tol * params.tol * b2;
 
+  // Per-iteration operands of the two fused passes, over the active shifts.
+  std::vector<std::size_t> act;
+  std::vector<double> x_coef, p_alpha, p_zeta;
+  std::vector<const Field*> p_src;
+  std::vector<Field*> x_dst, p_dst;
+
   while (stats.iterations < params.max_iter) {
     // ap = (A + s_min) p.
     a.apply(ap, p);
@@ -97,6 +103,11 @@ SolverStats multishift_cg_solve(const LinearOperator<Field>& a,
     const double beta = -rr / pap;  // sign convention: x -= beta p
 
     // Shifted coefficient recurrences.
+    act.clear();
+    x_coef.clear();
+    p_src.clear();
+    x_dst.clear();
+    p_dst.clear();
     for (std::size_t i = 0; i < ns; ++i) {
       if (!active[i]) continue;
       const double zi = zeta[i];
@@ -105,30 +116,33 @@ SolverStats multishift_cg_solve(const LinearOperator<Field>& a,
                            zim * beta_prev * (1.0 - rel[i] * beta);
       const double zeta_new = denom != 0 ? zi * zim * beta_prev / denom : 0.0;
       const double beta_i = zi != 0 ? beta * zeta_new / zi : 0.0;
-      // x_i -= beta_i p_i.
-      axpy(-beta_i, ps[i], xs[i]);
+      act.push_back(i);
+      x_coef.push_back(-beta_i);  // x_i -= beta_i p_i
+      p_src.push_back(&ps[i]);
+      x_dst.push_back(&xs[i]);
+      p_dst.push_back(&ps[i]);
       zeta_prev[i] = zi;
       zeta[i] = zeta_new;
       beta_shift[i] = beta_i;  // needed for alpha_i once alpha is known
     }
 
-    // r_{k+1} = r_k + beta ap.
-    axpy(beta, ap, r);
-    const double rr_new = norm2(r);
+    // x_i -= beta_i p_i and r_{k+1} = r_k + beta ap, with |r_{k+1}|^2.
+    const double rr_new = cg_update_norm2(x_coef, p_src, x_dst, beta, ap, r);
     const double alpha = rr_new / rr;
 
-    // p = r + alpha p.
-    xpay(r, alpha, p);
+    p_alpha.clear();
+    p_zeta.clear();
+    for (const std::size_t i : act) {
+      p_alpha.push_back((zeta_prev[i] != 0 && beta != 0)
+                            ? alpha * zeta[i] * beta_shift[i] /
+                                  (zeta_prev[i] * beta)
+                            : 0.0);
+      p_zeta.push_back(zeta[i]);
+    }
+    // p = r + alpha p and p_i = alpha_i p_i + zeta_i r.
+    cg_direction_update(r, alpha, p, p_alpha, p_zeta, p_dst);
 
-    for (std::size_t i = 0; i < ns; ++i) {
-      if (!active[i]) continue;
-      const double alpha_i =
-          (zeta_prev[i] != 0 && beta != 0)
-              ? alpha * zeta[i] * beta_shift[i] / (zeta_prev[i] * beta)
-              : 0.0;
-      // p_i = zeta_i r + alpha_i p_i.
-      scale(alpha_i, ps[i]);
-      axpy(zeta[i], r, ps[i]);
+    for (const std::size_t i : act) {
       // Shifted residual norm = |zeta_i| * |r|.
       const double res2 = zeta[i] * zeta[i] * rr_new;
       if (per_shift != nullptr) {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "fields/blas.h"
+#include "fields/precision.h"
 #include "gauge/configure.h"
 #include "obs/metrics.h"
 #include "util/parallel_for.h"
@@ -120,6 +121,104 @@ TEST_F(FusedBlasTest, XmyNorm2MatchesCopyAxpyNorm2) {
   EXPECT_EQ(n_fused, norm2(unfused));
 }
 
+TEST_F(FusedBlasTest, CgUpdateNorm2MatchesAxpySequence) {
+  // x_j += a_j p_j over three pairs, then y += b w, with |y|^2.
+  const std::vector<double> a{0.3, -1.2, 0.7};
+  std::vector<Field> x_fused{basis[3], basis[4], y0};
+  std::vector<Field> x_unfused = x_fused;
+  std::vector<const Field*> ps{ptrs[0], ptrs[1], ptrs[2]};
+  std::vector<Field*> xs{&x_fused[0], &x_fused[1], &x_fused[2]};
+  Field y_fused = basis[1];
+  Counter& sweeps = metric_counter("blas.sweeps");
+  const std::uint64_t before = sweeps.value();
+  const double n_fused = cg_update_norm2(a, ps, xs, -0.4, w, y_fused);
+  EXPECT_EQ(sweeps.value() - before, 1u);
+
+  for (std::size_t j = 0; j < a.size(); ++j) {
+    axpy(a[j], *ps[j], x_unfused[j]);
+  }
+  Field y_unfused = basis[1];
+  axpy(-0.4, w, y_unfused);
+  const double n_unfused = norm2(y_unfused);
+  for (std::size_t j = 0; j < a.size(); ++j) {
+    expect_bitwise_equal(x_fused[j], x_unfused[j]);
+  }
+  expect_bitwise_equal(y_fused, y_unfused);
+  EXPECT_EQ(std::memcmp(&n_fused, &n_unfused, sizeof(double)), 0);
+
+  // With no pairs it is axpy + norm2.
+  Field y_alone = basis[1];
+  const double n_alone = cg_update_norm2<WilsonSpinor<double>>(
+      {}, {}, {}, -0.4, w, y_alone);
+  expect_bitwise_equal(y_alone, y_unfused);
+  EXPECT_EQ(std::memcmp(&n_alone, &n_unfused, sizeof(double)), 0);
+}
+
+TEST_F(FusedBlasTest, CgDirectionUpdateMatchesXpayScaleAxpy) {
+  // p = r + alpha p, then p_j = alpha_j p_j + zeta_j r.
+  const std::vector<double> alphas{0.9, -0.35, 1.7};
+  const std::vector<double> zetas{0.6, 1.1, -0.25};
+  Field p_fused = y0;
+  std::vector<Field> pj_fused{basis[0], basis[2], basis[4]};
+  Field p_unfused = p_fused;
+  std::vector<Field> pj_unfused = pj_fused;
+  std::vector<Field*> pj{&pj_fused[0], &pj_fused[1], &pj_fused[2]};
+  Counter& sweeps = metric_counter("blas.sweeps");
+  const std::uint64_t before = sweeps.value();
+  cg_direction_update(w, 0.45, p_fused, alphas, zetas, pj);
+  EXPECT_EQ(sweeps.value() - before, 1u);
+
+  xpay(w, 0.45, p_unfused);
+  for (std::size_t j = 0; j < alphas.size(); ++j) {
+    scale(alphas[j], pj_unfused[j]);
+    axpy(zetas[j], w, pj_unfused[j]);
+  }
+  expect_bitwise_equal(p_fused, p_unfused);
+  for (std::size_t j = 0; j < alphas.size(); ++j) {
+    expect_bitwise_equal(pj_fused[j], pj_unfused[j]);
+  }
+}
+
+TEST(FusedBlasSingle, CgPassesMatchSequenceInFloat) {
+  // The float site type: coefficients round to float exactly as the
+  // unfused axpy/xpay/scale calls round them.
+  using F = StaggeredField<float>;
+  const LatticeGeometry g({4, 4, 4, 8});
+  const F r = convert_field<float>(gaussian_staggered_source(g, 230));
+  const F ap = convert_field<float>(gaussian_staggered_source(g, 231));
+  const F p0 = convert_field<float>(gaussian_staggered_source(g, 232));
+  const F x0 = convert_field<float>(gaussian_staggered_source(g, 233));
+  const F q0 = convert_field<float>(gaussian_staggered_source(g, 234));
+  F x_fused = x0, y_fused = r;
+  const double n_fused = cg_update_norm2({-0.123456789}, {&p0}, {&x_fused},
+                                         0.987654321, ap, y_fused);
+  F x_unfused = x0, y_unfused = r;
+  axpy(-0.123456789, p0, x_unfused);
+  axpy(0.987654321, ap, y_unfused);
+  const double n_unfused = norm2(y_unfused);
+  EXPECT_EQ(std::memcmp(x_fused.sites().data(), x_unfused.sites().data(),
+                        x_fused.sites().size_bytes()),
+            0);
+  EXPECT_EQ(std::memcmp(y_fused.sites().data(), y_unfused.sites().data(),
+                        y_fused.sites().size_bytes()),
+            0);
+  EXPECT_EQ(std::memcmp(&n_fused, &n_unfused, sizeof(double)), 0);
+
+  F p_fused = p0, q_fused = q0;
+  cg_direction_update(r, 0.31415926, p_fused, {0.2718281828}, {1.41421356},
+                      {&q_fused});
+  F p_unfused = p0, q_unfused = q0;
+  xpay(r, 0.31415926, p_unfused);
+  scale(0.2718281828, q_unfused);
+  axpy(1.41421356, r, q_unfused);
+  EXPECT_EQ(std::memcmp(p_fused.sites().data(), p_unfused.sites().data(),
+                        p_fused.sites().size_bytes()),
+            0);
+  EXPECT_EQ(std::memcmp(q_fused.sites().data(), q_unfused.sites().data(),
+                        q_fused.sites().size_bytes()),
+            0);
+}
+
 TEST_F(FusedBlasTest, TunedCopyMatchesSource) {
   Field dst(g);
   copy(dst, w);
@@ -137,6 +236,10 @@ TEST_F(FusedBlasTest, WorkerCountInvariance) {
   const auto d_ref = block_cdot(ptrs, w);
   Field r_ref(g);
   const double x_ref = xmy_norm2(w, y0, r_ref);
+  Field u_ref = y0;
+  Field v_ref = basis[0];
+  const double c_ref = cg_update_norm2({0.3}, {&w}, {&v_ref}, -0.7, w, u_ref);
+  cg_direction_update(w, 0.2, u_ref, {0.8}, {1.3}, {&v_ref});
 
   set_worker_count(hw);
   Field y_par = y0;
@@ -144,7 +247,14 @@ TEST_F(FusedBlasTest, WorkerCountInvariance) {
   const auto d_par = block_cdot(ptrs, w);
   Field r_par(g);
   const double x_par = xmy_norm2(w, y0, r_par);
+  Field u_par = y0;
+  Field v_par = basis[0];
+  const double c_par = cg_update_norm2({0.3}, {&w}, {&v_par}, -0.7, w, u_par);
+  cg_direction_update(w, 0.2, u_par, {0.8}, {1.3}, {&v_par});
 
+  expect_bitwise_equal(u_ref, u_par);
+  expect_bitwise_equal(v_ref, v_par);
+  EXPECT_EQ(c_ref, c_par);
   expect_bitwise_equal(y_ref, y_par);
   expect_bitwise_equal(r_ref, r_par);
   EXPECT_EQ(n_ref, n_par);

@@ -75,6 +75,43 @@ TEST(MixedPrecision, MixedCgMatchesDoubleCg) {
   EXPECT_LT(std::sqrt(norm2(r) / norm2(b)), 1e-10);
 }
 
+TEST(MixedPrecision, MixedCgReportsResidualOfReturnedSolution) {
+  // With max_outer = 1 the outer loop ends right after a correction; the
+  // reported residual must be that of the corrected x, not the one
+  // measured before it.
+  const LatticeGeometry g({4, 4, 4, 4});
+  const GaugeField<double> u = hot_gauge(g, 147);
+  const AsqtadLinks links = build_asqtad_links(u);
+  StaggeredSchurOperator<double> op_d(links.fat, links.lng, 0.1, 0.0);
+  const GaugeField<float> fat_f = convert_gauge<float>(links.fat);
+  const GaugeField<float> lng_f = convert_gauge<float>(links.lng);
+  StaggeredSchurOperator<float> op_f(fat_f, lng_f, 0.1, 0.0);
+  StaggeredField<double> b = gaussian_staggered_source(g, 148);
+  for (std::int64_t s = g.half_volume(); s < g.volume(); ++s) {
+    b.at(s) = ColorVector<double>{};
+  }
+
+  StaggeredField<double> x(g);
+  set_zero(x);
+  MixedCgParams p;
+  p.tol = 1e-11;
+  p.max_outer = 1;
+  const SolverStats stats = mixed_cg_solve(
+      op_d, op_f, x, b, p,
+      [](const StaggeredField<double>& f) { return convert_field<float>(f); },
+      [](const StaggeredField<float>& f) { return convert_field<double>(f); });
+  EXPECT_EQ(stats.iterations, 1);
+  EXPECT_FALSE(stats.converged);
+
+  StaggeredField<double> r(g);
+  op_d.apply(r, x);
+  scale(-1.0, r);
+  axpy(1.0, b, r);
+  const double true_residual = std::sqrt(norm2(r) / norm2(b));
+  EXPECT_LT(true_residual, 1e-3);  // the one correction did its work
+  EXPECT_DOUBLE_EQ(stats.final_residual, true_residual);
+}
+
 TEST(MixedPrecision, StaggeredTwoStageStrategy) {
   const LatticeGeometry g({4, 4, 4, 4});
   const GaugeField<double> u = hot_gauge(g, 145);

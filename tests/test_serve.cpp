@@ -116,30 +116,40 @@ TEST(MultiRhs, WilsonHopBitwiseMatchesSingle) {
   }
 }
 
-TEST(MultiRhs, StaggeredHopBitwiseMatchesSingle) {
+// kN right-hand sides; in float, five of them fill one four-lane SIMD group
+// and leave one for the scalar remainder.
+template <typename Real, int kN>
+void expect_staggered_hop_multi_matches_single() {
   const LatticeGeometry g({4, 4, 4, 8});
   const GaugeField<double> u = hot_gauge(g, 221);
   const AsqtadLinks links = build_asqtad_links(u);
-  constexpr int kN = 3;
-  std::vector<StaggeredField<double>> in;
-  std::vector<StaggeredField<double>> out_multi;
+  const GaugeField<Real> fat = convert_gauge<Real>(links.fat);
+  const GaugeField<Real> lng = convert_gauge<Real>(links.lng);
+  std::vector<StaggeredField<Real>> in;
+  std::vector<StaggeredField<Real>> out_multi;
   for (int r = 0; r < kN; ++r) {
-    in.push_back(gaussian_staggered_source(g, 222u + std::uint64_t(r)));
+    in.push_back(convert_field<Real>(
+        gaussian_staggered_source(g, 222u + std::uint64_t(r))));
     out_multi.emplace_back(g);
   }
-  std::vector<StaggeredField<double>*> outs;
-  std::vector<const StaggeredField<double>*> ins;
+  std::vector<StaggeredField<Real>*> outs;
+  std::vector<const StaggeredField<Real>*> ins;
   for (int r = 0; r < kN; ++r) {
     outs.push_back(&out_multi[std::size_t(r)]);
     ins.push_back(&in[std::size_t(r)]);
   }
-  staggered_hop_multi(outs, links.fat, links.lng, ins);
+  staggered_hop_multi(outs, fat, lng, ins);
   for (int r = 0; r < kN; ++r) {
-    StaggeredField<double> ref(g);
+    StaggeredField<Real> ref(g);
     set_zero(ref);
-    staggered_hop(ref, links.fat, links.lng, in[std::size_t(r)]);
+    staggered_hop(ref, fat, lng, in[std::size_t(r)]);
     expect_bitwise_equal(out_multi[std::size_t(r)], ref, "staggered hop");
   }
+}
+
+TEST(MultiRhs, StaggeredHopBitwiseMatchesSingle) {
+  expect_staggered_hop_multi_matches_single<double, 3>();
+  expect_staggered_hop_multi_matches_single<float, 5>();
 }
 
 TEST(MultiRhs, WilsonSchurApplyMultiBitwiseMatchesSingle) {

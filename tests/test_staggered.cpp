@@ -1,12 +1,23 @@
 // Improved staggered (asqtad) operator: dense cross-check, anti-Hermitian
-// derivative, parity decoupling of M^dag M.
+// derivative, parity decoupling of M^dag M, and the table-driven Schur
+// apply against the hop-by-hop sequence it replaced, bit for bit.
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <latch>
+#include <limits>
+#include <memory>
+#include <thread>
+#include <vector>
 
 #include "dirac/dense_reference.h"
 #include "dirac/staggered.h"
 #include "fields/blas.h"
+#include "fields/precision.h"
 #include "gauge/configure.h"
 #include "gauge/staggered_links.h"
+#include "obs/metrics.h"
+#include "util/parallel_for.h"
 
 namespace lqcd {
 namespace {
@@ -175,6 +186,154 @@ TEST(Staggered, DirichletCutKeepsBlockSupport) {
     if (mask.block_of_site(s) != 0) {
       ASSERT_EQ(norm2(out.at(s)), 0.0);
     }
+  }
+}
+
+// The Schur apply as it ran before the neighbour table: staggered_hop on
+// odd targets, staggered_hop on even targets, then a serial epilogue.  The
+// bitwise reference of the table-driven apply.
+template <typename Real>
+void hop_by_hop_schur(StaggeredField<Real>& out, const GaugeField<Real>& fat,
+                      const GaugeField<Real>& lng, double mass, double sigma,
+                      const StaggeredField<Real>& in) {
+  const LatticeGeometry& g = in.geometry();
+  StaggeredField<Real> tmp(g);
+  tmp.set_zero();
+  staggered_hop(tmp, fat, lng, in, Parity::Odd);
+  out.set_zero();
+  staggered_hop(out, fat, lng, tmp, Parity::Even);
+  const Real c = static_cast<Real>(mass * mass + sigma);
+  for (std::int64_t s = 0; s < g.half_volume(); ++s) {
+    ColorVector<Real> v = in.at(s);
+    v *= c;
+    ColorVector<Real> h = out.at(s);
+    h *= Real(-0.25);
+    v += h;
+    out.at(s) = v;
+  }
+}
+
+template <typename Real>
+void expect_table_schur_matches_hop_by_hop(const LatticeGeometry& g,
+                                           std::uint64_t seed) {
+  const GaugeField<double> u = hot_gauge(g, seed);
+  const AsqtadLinks links = build_asqtad_links(u);
+  const GaugeField<Real> fat = convert_gauge<Real>(links.fat);
+  const GaugeField<Real> lng = convert_gauge<Real>(links.lng);
+  StaggeredField<Real> in =
+      convert_field<Real>(gaussian_staggered_source(g, seed + 1));
+  for (std::int64_t s = g.half_volume(); s < g.volume(); ++s) {
+    in.at(s) = ColorVector<Real>{};
+  }
+  const auto bytes = in.sites().size_bytes();
+  const auto half_bytes = bytes / 2;
+  const std::vector<unsigned char> zeros(half_bytes, 0);
+  const int prev_workers = worker_count();
+  Counter& gauge_bytes = gauge_bytes_counter(Reconstruct::None);
+  for (const double sigma : {0.0, 0.1}) {
+    StaggeredField<Real> expect(g);
+    std::uint64_t before = gauge_bytes.value();
+    hop_by_hop_schur(expect, fat, lng, 0.07, sigma, in);
+    const std::uint64_t hop_by_hop_bytes = gauge_bytes.value() - before;
+    EXPECT_GT(hop_by_hop_bytes, 0u);
+    const StaggeredSchurOperator<Real> op(fat, lng, 0.07, sigma);
+    for (const int workers : {1, 4}) {
+      set_worker_count(workers);
+      StaggeredField<Real> out(g);
+      // Poison out: the apply must write every site, the odd half too.
+      for (auto& site : out.sites()) {
+        for (int c = 0; c < kNColor; ++c) {
+          site[c] = Cplx<Real>(std::numeric_limits<Real>::quiet_NaN(),
+                               std::numeric_limits<Real>::quiet_NaN());
+        }
+      }
+      before = gauge_bytes.value();
+      op.apply(out, in);
+      // The same nominal link loads as the two hops it replaces.
+      EXPECT_EQ(gauge_bytes.value() - before, hop_by_hop_bytes);
+      const std::string where = "dims " + std::to_string(g.dim(0)) + "x" +
+                                std::to_string(g.dim(1)) + "x" +
+                                std::to_string(g.dim(2)) + "x" +
+                                std::to_string(g.dim(3)) + " sigma " +
+                                std::to_string(sigma) + " workers " +
+                                std::to_string(workers) + " bytes/real " +
+                                std::to_string(sizeof(Real));
+      EXPECT_EQ(std::memcmp(out.sites().data(), expect.sites().data(), bytes),
+                0)
+          << where;
+      // The odd half is +0.0 everywhere: all-zero bytes.
+      EXPECT_EQ(std::memcmp(out.sites().data() + g.half_volume(),
+                            zeros.data(), half_bytes),
+                0)
+          << where;
+    }
+  }
+  set_worker_count(prev_workers);
+}
+
+TEST(StaggeredSchurTable, BitwiseMatchesHopByHopSequence) {
+  const std::vector<LatticeGeometry> geoms{LatticeGeometry({4, 4, 4, 4}),
+                                           LatticeGeometry({4, 4, 6, 8}),
+                                           LatticeGeometry({6, 6, 6, 12})};
+  std::uint64_t seed = 40;
+  for (const LatticeGeometry& g : geoms) {
+    expect_table_schur_matches_hop_by_hop<double>(g, seed);
+    expect_table_schur_matches_hop_by_hop<float>(g, seed);
+    seed += 2;
+  }
+}
+
+TEST(StaggeredSchurTable, OneTablePerExtentSetWhileHeld) {
+  Fixture f;
+  const GaugeField<float> fat_f = convert_gauge<float>(f.links.fat);
+  const GaugeField<float> lng_f = convert_gauge<float>(f.links.lng);
+  const LatticeGeometry g2({4, 4, 4, 8});
+  const AsqtadLinks links2 = build_asqtad_links(hot_gauge(g2, 33));
+  std::weak_ptr<const NeighborTable> first;
+  {
+    const StaggeredSchurOperator<double> a(f.links.fat, f.links.lng, 0.05,
+                                           0.0);
+    const StaggeredSchurOperator<double> b(f.links.fat, f.links.lng, 0.07,
+                                           0.3);
+    const StaggeredSchurOperator<float> c(fat_f, lng_f, 0.05, 0.0);
+    const StaggeredSchurOperator<double> d(links2.fat, links2.lng, 0.05, 0.0);
+    ASSERT_NE(a.neighbor_table(), nullptr);
+    EXPECT_EQ(a.neighbor_table(), b.neighbor_table());
+    EXPECT_EQ(a.neighbor_table(), c.neighbor_table());
+    EXPECT_NE(a.neighbor_table(), d.neighbor_table());
+    EXPECT_EQ(a.neighbor_table()->geometry(), f.g);
+    EXPECT_EQ(d.neighbor_table()->geometry(), g2);
+    EXPECT_EQ(a.neighbor_table()->max_hop(), 3);
+    first = a.neighbor_table();
+  }
+  // Every holder is gone, so the table is gone with them ...
+  EXPECT_TRUE(first.expired());
+  // ... and the next operator gets a fresh one.
+  const StaggeredSchurOperator<double> e(f.links.fat, f.links.lng, 0.05, 0.0);
+  const std::shared_ptr<const NeighborTable>& fresh = e.neighbor_table();
+  ASSERT_NE(fresh, nullptr);
+  EXPECT_TRUE(first.owner_before(fresh) || fresh.owner_before(first));
+  EXPECT_EQ(fresh->geometry(), f.g);
+}
+
+TEST(StaggeredSchurTable, ConcurrentConstructionSharesOneTable) {
+  Fixture f;
+  constexpr int kThreads = 8;
+  std::vector<std::shared_ptr<const NeighborTable>> got(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      const StaggeredSchurOperator<double> op(f.links.fat, f.links.lng, 0.05,
+                                              0.01 * t);
+      got[static_cast<std::size_t>(t)] = op.neighbor_table();
+    });
+  }
+  for (auto& th : threads) th.join();
+  ASSERT_NE(got[0], nullptr);
+  for (int t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(got[static_cast<std::size_t>(t)], got[0]) << "thread " << t;
   }
 }
 
