@@ -151,7 +151,8 @@ BENCHMARK(BM_SolveBlockGcrDd)->Arg(1)->Arg(4)->Arg(8)
 // Fused vs unfused GCR linear algebra (arg 1 = fused).  Same iterates
 // bitwise; the difference is memory passes per iteration: 4 fused vs 2k+5
 // at basis size k.  `iter_sweeps_per_iter` reports the measured ratio from
-// the metrics registry.
+// the metrics registry.  The operator and BLAS run on the worker pool, so
+// the bench reports wall-clock time (real_time).
 void BM_SolveGcrFusion(benchmark::State& state) {
   WilsonSetup s;
   WilsonCloverOperator<double> m(s.u, &s.clover, 0.05);
@@ -175,7 +176,8 @@ void BM_SolveGcrFusion(benchmark::State& state) {
   }
   state.SetLabel(state.range(0) != 0 ? "fused" : "unfused");
 }
-BENCHMARK(BM_SolveGcrFusion)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SolveGcrFusion)->Arg(1)->Arg(0)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // The staggered solves run their site loops and BLAS on the worker pool,
 // so both report wall-clock time (real_time).

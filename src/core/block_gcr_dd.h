@@ -14,13 +14,11 @@
 /// batched — the same split the paper's multi-GPU practice implies, where
 /// the Dirichlet-cut preconditioner is the comms-free bulk of the work.
 
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "core/gcr_dd.h"
 #include "dirac/multi_rhs.h"
-#include "solvers/block_gcr.h"
 #include "solvers/block_schwarz.h"
 
 namespace lqcd {
@@ -33,59 +31,45 @@ class MultiRhsGcrDdWilsonSolver {
                             GcrDdParams params)
       : params_(params),
         u_single_(convert_gauge<float>(u)),
-        u_half_(u_single_),
+        clover_single_(detail::gcr_dd_clover(u.geometry(), clover, params)),
         mask_(u.geometry(), params.block_grid) {
-    if (clover != nullptr) {
-      clover_single_ = convert_clover<float>(*clover);
-    }
-    if (params.twisted_mu != 0.0) {
-      // Same twist fold as GcrDdWilsonSolver: the batched operator stack
-      // (outer, Dirichlet-cut, multi-RHS) is built from this clover copy.
-      if (!clover_single_.has_value()) {
-        clover_single_.emplace(u.geometry());
-      }
-      for (std::int64_t s = 0; s < u.geometry().volume(); ++s) {
-        add_twist(clover_single_->at(s),
-                  static_cast<float>(params.twisted_mu), params.twist_flavor);
-      }
-    }
-    half_roundtrip(u_half_);
+    const CloverField<float>* a = clover_single_ ? &*clover_single_ : nullptr;
     if (params.rank_grid) {
       op_part_ = std::make_unique<PartitionedWilsonCloverSchur<float>>(
-          Partitioning(u.geometry(), *params.rank_grid), u_single_,
-          clover_single_ ? &*clover_single_ : nullptr, params.mass);
+          Partitioning(u.geometry(), *params.rank_grid), u_single_, a,
+          params.mass);
       multi_op_ =
           std::make_unique<PerRhsMultiOperator<WilsonField<float>>>(*op_part_);
     } else {
-      op_ = std::make_unique<WilsonCloverSchurOperator<float>>(
-          u_single_, clover_single_ ? &*clover_single_ : nullptr, params.mass);
+      op_ = std::make_unique<WilsonCloverSchurOperator<float>>(u_single_, a,
+                                                               params.mass);
       multi_op_ = std::make_unique<NativeMultiRhsOperator<
           WilsonField<float>, WilsonCloverSchurOperator<float>>>(*op_);
     }
+    // The Dirichlet-cut operator reads its links from u_half_ for as long
+    // as the solver lives.
+    if (params.half_preconditioner) {
+      u_half_.emplace(u_single_);
+      half_roundtrip(*u_half_);
+    }
     op_dd_ = std::make_unique<WilsonCloverSchurOperator<float>>(
-        params.half_preconditioner ? u_half_ : u_single_,
-        clover_single_ ? &*clover_single_ : nullptr, params.mass, &mask_);
+        u_half_ ? *u_half_ : u_single_, a, params.mass, &mask_);
     multi_dd_ = std::make_unique<NativeMultiRhsOperator<
         WilsonField<float>, WilsonCloverSchurOperator<float>>>(*op_dd_);
-    std::function<void(WilsonField<float>&)> store;
-    if (params.half_preconditioner) {
-      // Schur-system fields keep the odd checkerboard zero; truncating only
-      // the even half is bitwise identical (see precision.h).
-      store = [](WilsonField<float>& f) { half_roundtrip(f, Parity::Even); };
-    }
     precond_ =
         std::make_unique<MultiRhsSchwarzPreconditioner<WilsonField<float>>>(
-            *multi_dd_, mask_, params.mr, store);
+            *multi_dd_, mask_, params.mr,
+            detail::gcr_dd_store(params.half_preconditioner));
   }
 
   /// Solves M xs[r] = bs[r] for every RHS (double precision I/O).  Each
   /// entry of the returned stats describes that RHS's solve only:
-  /// `inner_iterations` is attributed per RHS by the block driver, so a
+  /// `inner_iterations` is attributed per RHS by the GCR driver, so a
   /// reused solver or a long-lived service never leaks preconditioner work
   /// between requests.
   ///
-  /// \p ckpt (optional) threads soak checkpoint I/O into the block driver
-  /// (solvers/block_gcr.h): capture freezes the whole batch mid-solve at a
+  /// \p ckpt (optional) threads soak checkpoint I/O into the GCR driver
+  /// (solvers/gcr.h): capture freezes the whole batch mid-solve at a
   /// driver-round boundary; resume requires the same RHS in the same order
   /// (source preparation is recomputed — a pure function of b and the
   /// gauge/clover fields) and continues every RHS bitwise.
@@ -119,17 +103,10 @@ class MultiRhsGcrDdWilsonSolver {
       b_hat_ptr[i] = &b_hat[i];
     }
 
-    GcrParams gp;
-    gp.tol = params_.tol;
-    gp.kmax = params_.kmax;
-    gp.delta = params_.delta;
-    gp.max_iter = params_.max_iter;
-    std::function<void(WilsonField<float>&)> low_store;
-    if (params_.half_krylov) {
-      low_store = [](WilsonField<float>& f) { half_roundtrip(f, Parity::Even); };
-    }
     std::vector<SolverStats> stats = block_gcr_solve(
-        *multi_op_, x_ptr, b_hat_ptr, precond_.get(), gp, low_store, ckpt);
+        *multi_op_, x_ptr, b_hat_ptr, precond_.get(),
+        detail::gcr_dd_outer_params(params_),
+        detail::gcr_dd_store(params_.half_krylov), ckpt);
 
     // A kill-captured batch returns its partial stats; the iterates live in
     // the checkpoint, so the output fields are left untouched.
@@ -149,15 +126,10 @@ class MultiRhsGcrDdWilsonSolver {
     return stats;
   }
 
-  const BlockMask& mask() const { return mask_; }
-  const MultiRhsOperator<WilsonField<float>>& schur_operator() const {
-    return *multi_op_;
-  }
-
  private:
   GcrDdParams params_;
   GaugeField<float> u_single_;
-  GaugeField<float> u_half_;
+  std::optional<GaugeField<float>> u_half_;  ///< set iff half_preconditioner
   std::optional<CloverField<float>> clover_single_;
   BlockMask mask_;
   std::unique_ptr<WilsonCloverSchurOperator<float>> op_;

@@ -13,6 +13,10 @@
 ///    block runs its whole MR solve as one task on its own sublattice
 ///    (solvers/block_task_schwarz.h), bitwise equal to the masked
 ///    whole-lattice SchwarzPreconditioner; block extents must be even.
+///
+/// Both this solver and its batched twin (core/block_gcr_dd.h) run the one
+/// GCR driver of solvers/gcr.h, this one at width 1, and share their set-up
+/// helpers (detail::gcr_dd_clover, gcr_dd_outer_params, gcr_dd_store).
 
 #include <array>
 #include <functional>
@@ -66,6 +70,47 @@ struct GcrDdParams {
   std::optional<std::array<int, kNDim>> rank_grid;
 };
 
+namespace detail {
+
+/// The GCR-DD solvers' single-precision clover copy.  With a twisted-mass
+/// term, i*mu*gamma5 is folded into it (an empty clover is materialized
+/// for plain twisted Wilson — see dirac/twisted_mass.h for the chiral-block
+/// encoding), so every operator built from it runs the twisted action.
+inline std::optional<CloverField<float>> gcr_dd_clover(
+    const LatticeGeometry& g, const CloverField<double>* clover,
+    const GcrDdParams& p) {
+  std::optional<CloverField<float>> a;
+  if (clover != nullptr) a = convert_clover<float>(*clover);
+  if (p.twisted_mu != 0.0) {
+    if (!a.has_value()) a.emplace(g);
+    for (std::int64_t s = 0; s < g.volume(); ++s) {
+      add_twist(a->at(s), static_cast<float>(p.twisted_mu), p.twist_flavor);
+    }
+  }
+  return a;
+}
+
+/// The outer GCR settings of a GCR-DD solve.
+inline GcrParams gcr_dd_outer_params(const GcrDdParams& p) {
+  GcrParams gp;
+  gp.tol = p.tol;
+  gp.kmax = p.kmax;
+  gp.delta = p.delta;
+  gp.max_iter = p.max_iter;
+  return gp;
+}
+
+/// Emulated half-precision storage of a Schur-system field when \p half is
+/// set, none otherwise.  Schur-system fields keep the odd checkerboard
+/// zero, so truncating only the even half is bitwise identical (see
+/// precision.h).
+inline std::function<void(WilsonField<float>&)> gcr_dd_store(bool half) {
+  if (!half) return nullptr;
+  return [](WilsonField<float>& f) { half_roundtrip(f, Parity::Even); };
+}
+
+}  // namespace detail
+
 /// GCR-DD solver for the Wilson-clover system M x = b on the full lattice.
 /// The clover field may be null (plain Wilson).
 /// \throws std::invalid_argument if a Schwarz block extent is odd.
@@ -73,75 +118,37 @@ class GcrDdWilsonSolver {
  public:
   GcrDdWilsonSolver(const GaugeField<double>& u,
                     const CloverField<double>* clover, GcrDdParams params)
-      : params_(params), u_single_(convert_gauge<float>(u)) {
-    if (clover != nullptr) {
-      clover_single_ = convert_clover<float>(*clover);
-    }
-    if (params.twisted_mu != 0.0) {
-      // Fold i*mu*gamma5 into the clover copy every downstream operator is
-      // built from (an empty clover is materialized for plain twisted
-      // Wilson) — see dirac/twisted_mass.h for the chiral-block encoding.
-      if (!clover_single_.has_value()) {
-        clover_single_.emplace(u.geometry());
-      }
-      for (std::int64_t s = 0; s < u.geometry().volume(); ++s) {
-        add_twist(clover_single_->at(s),
-                  static_cast<float>(params.twisted_mu), params.twist_flavor);
-      }
-    }
+      : params_(params), u_single_(convert_gauge<float>(u)),
+        clover_single_(detail::gcr_dd_clover(u.geometry(), clover, params)) {
+    const CloverField<float>* a = clover_single_ ? &*clover_single_ : nullptr;
     if (params.rank_grid) {
       op_part_ = std::make_unique<PartitionedWilsonCloverSchur<float>>(
-          Partitioning(u.geometry(), *params.rank_grid), u_single_,
-          clover_single_ ? &*clover_single_ : nullptr, params.mass);
+          Partitioning(u.geometry(), *params.rank_grid), u_single_, a,
+          params.mass);
     } else {
-      op_ = std::make_unique<WilsonCloverSchurOperator<float>>(
-          u_single_, clover_single_ ? &*clover_single_ : nullptr, params.mass);
+      op_ = std::make_unique<WilsonCloverSchurOperator<float>>(u_single_, a,
+                                                               params.mass);
     }
+    // The block operator keeps its own copy of the links, so the half
+    // round-tripped gauge field is needed only while it is built.
     std::optional<GaugeField<float>> u_half;
-    std::function<void(WilsonField<float>&)> store;
     if (params.half_preconditioner) {
-      // The block operator keeps its own copy of the links, so the half
-      // round-tripped gauge field is needed only while it is built.
       u_half.emplace(u_single_);
       half_roundtrip(*u_half);
-      // Schur-system fields keep the odd checkerboard zero; truncating only
-      // the even half is bitwise identical (see precision.h).
-      store = [](WilsonField<float>& f) { half_roundtrip(f, Parity::Even); };
     }
     precond_ = std::make_unique<BlockTaskSchwarzPreconditioner<float>>(
-        u_half ? *u_half : u_single_,
-        clover_single_ ? &*clover_single_ : nullptr, params.mass,
-        params.block_grid, params.mr, store);
+        u_half ? *u_half : u_single_, a, params.mass, params.block_grid,
+        params.mr, detail::gcr_dd_store(params.half_preconditioner));
   }
 
   /// Solves M x = b (both on the full lattice, double precision I/O).
   /// Returns GCR stats; the final residual reported is the true
-  /// single-precision Schur residual.  `inner_iterations` reports the MR
-  /// steps of *this* solve only (the preconditioner's own tally is
-  /// cumulative across solves; we difference around the solve so a reused
-  /// solver never reports inflated counts).
-  ///
-  /// \p ckpt (optional) threads soak checkpoint I/O into the inner GCR
-  /// (solvers/gcr.h): capture freezes the float Schur-system state
-  /// mid-solve; resume requires the same gauge/clover/params and the same
-  /// \p b — the source preparation is recomputed (it is a pure function of
-  /// them), and the restored Krylov state continues bitwise.
-  SolverStats solve(WilsonField<double>& x, const WilsonField<double>& b,
-                    GcrCheckpointIo<WilsonField<float>>* ckpt = nullptr) {
+  /// single-precision Schur residual.  `inner_iterations` counts the MR
+  /// steps of this solve only: the driver adds `mr.steps` per
+  /// preconditioner apply.
+  SolverStats solve(WilsonField<double>& x, const WilsonField<double>& b) {
     ScopedSpan span("gcrdd.solve");
     metric_counter("solver.gcrdd.solves").add();
-    const int inner_before = precond_->inner_steps();
-    // A resumed solve continues the killed run's inner-iteration tally; a
-    // capture freezes the tally as of the checkpointed iteration.
-    const int inner_restored =
-        (ckpt != nullptr && ckpt->resume != nullptr && ckpt->resume->valid())
-            ? ckpt->resume->stats.inner_iterations
-            : 0;
-    if (ckpt != nullptr) {
-      ckpt->inner_iterations_now = [this, inner_before, inner_restored] {
-        return inner_restored + precond_->inner_steps() - inner_before;
-      };
-    }
     WilsonField<float> b_f = convert_field<float>(b);
     WilsonField<float> b_hat(b.geometry());
     if (op_part_) {
@@ -152,26 +159,12 @@ class GcrDdWilsonSolver {
 
     WilsonField<float> x_f(b.geometry());
     set_zero(x_f);
-
-    GcrParams gp;
-    gp.tol = params_.tol;
-    gp.kmax = params_.kmax;
-    gp.delta = params_.delta;
-    gp.max_iter = params_.max_iter;
-    std::function<void(WilsonField<float>&)> low_store;
-    if (params_.half_krylov) {
-      low_store = [](WilsonField<float>& f) { half_roundtrip(f, Parity::Even); };
-    }
-    SolverStats stats = gcr_solve(schur_operator(), x_f, b_hat,
-                                  precond_.get(), gp, low_store, ckpt);
-    stats.inner_iterations =
-        inner_restored + precond_->inner_steps() - inner_before;
-    // A kill-captured solve returns its partial stats without touching x
-    // (the iterate lives inside the checkpoint, not the output field).
-    if (ckpt != nullptr && ckpt->stop_after_capture &&
-        ckpt->captured != nullptr && ckpt->captured->valid()) {
-      return stats;
-    }
+    const PerRhsMultiOperator<WilsonField<float>> m(schur_operator());
+    const PerRhsPreconditioner<WilsonField<float>> k(*precond_,
+                                                     params_.mr.steps);
+    SolverStats stats = block_gcr_solve<WilsonField<float>>(
+        m, {&x_f}, {&b_hat}, &k, detail::gcr_dd_outer_params(params_),
+        detail::gcr_dd_store(params_.half_krylov))[0];
 
     if (op_part_) {
       op_part_->reconstruct_solution(x_f, b_f);

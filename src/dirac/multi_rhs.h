@@ -5,19 +5,19 @@
 /// The batched setting (QUDA's multi-GPU practice, Babich et al.
 /// arXiv:1011.0024) amortizes the dominant memory traffic of the hopping
 /// term — the gauge links — across right-hand sides: one reconstructed
-/// link load services N spinor mat-vecs.  The kernels here are the
-/// multi-RHS twins of wilson_hop/staggered_hop with a strict contract:
+/// link load services N spinor mat-vecs.  The kernel here is the
+/// multi-RHS twin of wilson_hop with a strict contract:
 ///
 ///   **Per-RHS bitwise identity.**  For each RHS r, the per-site operation
 ///   sequence (projection, SU(3) mat-vec, accumulation — in mu order) is
 ///   exactly the single-RHS kernel's, and accumulators never mix across
 ///   RHS, so outs[r] is bitwise identical to a single-RHS hop on ins[r].
-///   The block solvers rely on this to match their single-RHS references
-///   exactly, and the tests assert it.
+///   The batched GCR-DD solver relies on this to match its single-RHS
+///   reference exactly, and the tests assert it.
 ///
-/// Both kernels run through tuned_site_loop (the batch width is part of
+/// The kernel runs through tuned_site_loop (the batch width is part of
 /// the aux key — a width-4 sweep has a different flop/byte mix than a
-/// width-1 sweep) and reuse the recon_policy gauge formats via their Gauge
+/// width-1 sweep) and reuses the recon_policy gauge formats via its Gauge
 /// template parameter.  Nominal gauge traffic is metered once per link
 /// load, not once per RHS, so `dslash.gauge_bytes` reflects the
 /// amortization.
@@ -291,63 +291,6 @@ inline void wilson_site_hop4(WilsonSpinor<float>* const* out,
   }
 }
 
-/// One staggered hop term (acc +-= L v or L^dagger v) for four lanes.
-inline void stag_leg4(const Matrix3<float>& link, bool adjoint, bool add,
-                      const CplxV4 v[kNColor], CplxV4 acc[kNColor]) {
-  for (int i = 0; i < kNColor; ++i) {
-    CplxB4 row[kNColor];
-    for (int j = 0; j < kNColor; ++j) {
-      row[j] = cv_bcast(adjoint ? std::conj(link(j, i)) : link(i, j));
-    }
-    CplxV4 sum = cv_zero();
-    for (int j = 0; j < kNColor; ++j) cv_mul_acc(sum, row[j], v[j]);
-    acc[i] = add ? cv_add(acc[i], sum) : cv_sub(acc[i], sum);
-  }
-}
-
-/// Transposes the four RHS color vectors at one site into lane vectors.
-inline void gather4(CplxV4 v[kNColor], const ColorVector<float>* const* in,
-                    std::int64_t site) {
-  const ColorVector<float>& p0 = in[0][site];
-  const ColorVector<float>& p1 = in[1][site];
-  const ColorVector<float>& p2 = in[2][site];
-  const ColorVector<float>& p3 = in[3][site];
-  for (int c = 0; c < kNColor; ++c) {
-    v[c].re = V4f{p0[c].real(), p1[c].real(), p2[c].real(), p3[c].real()};
-    v[c].im = V4f{p0[c].imag(), p1[c].imag(), p2[c].imag(), p3[c].imag()};
-  }
-}
-
-/// The full fat+long staggered hop at one site for four RHS lanes.
-template <typename Gauge>
-inline void staggered_site_hop4(ColorVector<float>* const* out,
-                                const ColorVector<float>* const* in,
-                                const Gauge& fat, const Gauge& lng,
-                                std::int64_t s, const std::int64_t* sp,
-                                const std::int64_t* sm,
-                                const std::int64_t* sp3,
-                                const std::int64_t* sm3) {
-  CplxV4 acc[kNColor];
-  for (int c = 0; c < kNColor; ++c) acc[c] = cv_zero();
-  CplxV4 v[kNColor];
-  for (int mu = 0; mu < kNDim; ++mu) {
-    gather4(v, in, sp[mu]);
-    stag_leg4(fat.link(mu, s), /*adjoint=*/false, /*add=*/true, v, acc);
-    gather4(v, in, sm[mu]);
-    stag_leg4(fat.link(mu, sm[mu]), /*adjoint=*/true, /*add=*/false, v, acc);
-    gather4(v, in, sp3[mu]);
-    stag_leg4(lng.link(mu, s), /*adjoint=*/false, /*add=*/true, v, acc);
-    gather4(v, in, sm3[mu]);
-    stag_leg4(lng.link(mu, sm3[mu]), /*adjoint=*/true, /*add=*/false, v, acc);
-  }
-  for (int l = 0; l < 4; ++l) {
-    ColorVector<float>& o = out[l][s];
-    for (int c = 0; c < kNColor; ++c) {
-      o[c] = Cplx<float>(acc[c].re[l], acc[c].im[l]);
-    }
-  }
-}
-
 #endif  // LQCD_MULTI_RHS_SIMD
 
 /// One tuned sweep over a batch of width w <= kMaxMultiRhs.
@@ -437,69 +380,6 @@ void wilson_hop_multi_group(const std::vector<WilsonField<Real>*>& outs,
                     static_cast<int>(sizeof(Real)));
 }
 
-template <typename Real, typename Gauge>
-void staggered_hop_multi_group(const std::vector<StaggeredField<Real>*>& outs,
-                               const Gauge& fat, const Gauge& lng,
-                               const std::vector<const StaggeredField<Real>*>&
-                                   ins,
-                               std::size_t base, int w,
-                               std::optional<Parity> target) {
-  const LatticeGeometry& g = ins[base]->geometry();
-  const std::int64_t begin =
-      target.has_value() && *target == Parity::Odd ? g.half_volume() : 0;
-  const std::int64_t end =
-      target.has_value() && *target == Parity::Even ? g.half_volume()
-                                                    : g.volume();
-  // Same flat-pointer hoist as the Wilson kernel above.
-  const ColorVector<Real>* in[kMaxMultiRhs];
-  ColorVector<Real>* out[kMaxMultiRhs];
-  for (int r = 0; r < w; ++r) {
-    in[r] = ins[base + std::size_t(r)]->sites().data();
-    out[r] = outs[base + std::size_t(r)]->sites().data();
-  }
-  tuned_site_loop(
-      "staggered_hop_multi",
-      multi_rhs_aux(dslash_aux<Real>(target, false, gauge_recon(fat)), w),
-      outs[base]->sites(), end - begin, [&](std::int64_t idx) {
-    const std::int64_t s = begin + idx;
-    const Coord x = g.eo_coords(s);
-    // Same once-per-site neighbor resolution as the Wilson kernel.
-    std::int64_t sp[kNDim];
-    std::int64_t sm[kNDim];
-    std::int64_t sp3[kNDim];
-    std::int64_t sm3[kNDim];
-    for (int mu = 0; mu < kNDim; ++mu) {
-      sp[mu] = g.eo_index(g.shifted(x, mu, +1));
-      sm[mu] = g.eo_index(g.shifted(x, mu, -1));
-      sp3[mu] = g.eo_index(g.shifted(x, mu, +3));
-      sm3[mu] = g.eo_index(g.shifted(x, mu, -3));
-    }
-    int r0 = 0;
-#ifdef LQCD_MULTI_RHS_SIMD
-    if constexpr (std::is_same_v<Real, float>) {
-      for (; r0 + 4 <= w; r0 += 4) {
-        detail::staggered_site_hop4(out + r0, in + r0, fat, lng, s, sp, sm,
-                                    sp3, sm3);
-      }
-    }
-#endif
-    for (int r = r0; r < w; ++r) {
-      ColorVector<Real> acc{};
-      for (int mu = 0; mu < kNDim; ++mu) {
-        acc += fat.link(mu, s) * in[r][sp[mu]];
-        acc -= adj_mul(fat.link(mu, sm[mu]), in[r][sm[mu]]);
-        acc += lng.link(mu, s) * in[r][sp3[mu]];
-        acc -= adj_mul(lng.link(mu, sm3[mu]), in[r][sm3[mu]]);
-      }
-      out[r][s] = acc;
-    }
-  });
-  meter_gauge_bytes(gauge_recon(fat), 8 * (end - begin),
-                    static_cast<int>(sizeof(Real)));
-  meter_gauge_bytes(gauge_recon(lng), 8 * (end - begin),
-                    static_cast<int>(sizeof(Real)));
-}
-
 }  // namespace detail
 
 /// outs[r](x) = D ins[r](x) for the selected target sites — the multi-RHS
@@ -514,20 +394,6 @@ void wilson_hop_multi(const std::vector<WilsonField<Real>*>& outs,
     const int w = static_cast<int>(
         std::min<std::size_t>(kMaxMultiRhs, ins.size() - base));
     detail::wilson_hop_multi_group(outs, u, ins, base, w, target, mask);
-  }
-}
-
-/// The multi-RHS twin of staggered_hop (fat 1-hop + long 3-hop), without
-/// a Dirichlet cut: no batched staggered caller cuts links.
-template <typename Real, typename Gauge>
-void staggered_hop_multi(const std::vector<StaggeredField<Real>*>& outs,
-                         const Gauge& fat, const Gauge& lng,
-                         const std::vector<const StaggeredField<Real>*>& ins,
-                         std::optional<Parity> target = std::nullopt) {
-  for (std::size_t base = 0; base < ins.size(); base += kMaxMultiRhs) {
-    const int w = static_cast<int>(
-        std::min<std::size_t>(kMaxMultiRhs, ins.size() - base));
-    detail::staggered_hop_multi_group(outs, fat, lng, ins, base, w, target);
   }
 }
 

@@ -16,10 +16,8 @@
 
 #include <memory>
 #include <optional>
-#include <vector>
 
 #include "dirac/dslash_tune.h"
-#include "dirac/multi_rhs.h"
 #include "dirac/operator.h"
 #include "dirac/recon_policy.h"
 #include "fields/blas.h"
@@ -207,37 +205,6 @@ class StaggeredSchurOperator : public LinearOperator<StaggeredField<Real>> {
                       static_cast<int>(sizeof(Real)));
   }
 
-  /// Batched (M^dag M + sigma)_ee: both hops service every RHS per fat/long
-  /// link load; per-RHS arithmetic replicates apply() exactly (bitwise).
-  void apply_multi(const std::vector<StaggeredField<Real>*>& outs,
-                   const std::vector<const StaggeredField<Real>*>& ins) const {
-    const std::size_t w = ins.size();
-    for (std::size_t r = 0; r < w; ++r) this->count_application();
-    while (tmp_multi_.size() < w) tmp_multi_.emplace_back(geometry());
-    std::vector<StaggeredField<Real>*> tmps(w);
-    std::vector<const StaggeredField<Real>*> ctmps(w);
-    for (std::size_t r = 0; r < w; ++r) {
-      tmp_multi_[r].set_zero();
-      tmps[r] = &tmp_multi_[r];
-      ctmps[r] = &tmp_multi_[r];
-      outs[r]->set_zero();
-    }
-    staggered_hop_multi(tmps, *fat_, *lng_, ins, Parity::Odd);
-    staggered_hop_multi(outs, *fat_, *lng_, ctmps, Parity::Even);
-    const LatticeGeometry& g = geometry();
-    const Real c = static_cast<Real>(mass_ * mass_ + sigma_);
-    for (std::size_t r = 0; r < w; ++r) {
-      for (std::int64_t s = 0; s < g.half_volume(); ++s) {
-        ColorVector<Real> v = ins[r]->at(s);
-        v *= c;
-        ColorVector<Real> h = outs[r]->at(s);
-        h *= Real(-0.25);
-        v += h;
-        outs[r]->at(s) = v;
-      }
-    }
-  }
-
   const LatticeGeometry& geometry() const override { return fat_->geometry(); }
 
   double mass() const { return mass_; }
@@ -255,7 +222,6 @@ class StaggeredSchurOperator : public LinearOperator<StaggeredField<Real>> {
   double sigma_;
   std::shared_ptr<const NeighborTable> nt_;
   mutable StaggeredField<Real> tmp_;
-  mutable std::vector<StaggeredField<Real>> tmp_multi_;  // apply_multi scratch
 };
 
 }  // namespace lqcd

@@ -14,7 +14,7 @@
 /// inner iterations or rollbacks.
 ///
 /// Fault behaviour: a chaos-repaired exchange rolls back exactly the
-/// requests of the batch in flight (block_gcr.h); queued batches are
+/// requests of the batch in flight (solvers/gcr.h); queued batches are
 /// untouched.  Shutdown drains: close the queue, finish everything already
 /// accepted, fail later submissions typed (Status::ShuttingDown).
 ///

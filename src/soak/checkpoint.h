@@ -47,7 +47,6 @@
 
 #include "fields/lattice_field.h"
 #include "obs/metrics.h"
-#include "solvers/block_gcr.h"
 #include "solvers/gcr.h"
 #include "solvers/solver_stats.h"
 #include "tune/tune_key.h"
@@ -342,38 +341,6 @@ inline void get_coeffs(ByteReader& r,
 }
 
 }  // namespace detail
-
-template <typename Field>
-void put_gcr_checkpoint(ByteWriter& w, const GcrCheckpoint<Field>& c) {
-  if (!c.valid()) {
-    throw CheckpointError(CheckpointError::Kind::BadPayload,
-                          "refusing to serialize an empty GCR checkpoint");
-  }
-  w.i32(c.k);
-  w.f64(c.rnorm);
-  w.f64(c.cycle_start_norm);
-  put_solver_stats(w, c.stats);
-  put_field(w, *c.x);
-  put_field(w, *c.rhat);
-  detail::put_field_vec(w, c.p);
-  detail::put_field_vec(w, c.z);
-  detail::put_coeffs(w, c.beta, c.gamma, c.alpha);
-}
-
-template <typename Field>
-GcrCheckpoint<Field> get_gcr_checkpoint(ByteReader& r) {
-  GcrCheckpoint<Field> c;
-  c.k = r.i32();
-  c.rnorm = r.f64();
-  c.cycle_start_norm = r.f64();
-  c.stats = get_solver_stats(r);
-  c.x.emplace(get_field<typename Field::site_type>(r));
-  c.rhat.emplace(get_field<typename Field::site_type>(r));
-  c.p = detail::get_field_vec<Field>(r);
-  c.z = detail::get_field_vec<Field>(r);
-  detail::get_coeffs(r, c.beta, c.gamma, c.alpha);
-  return c;
-}
 
 template <typename Field>
 void put_block_gcr_checkpoint(ByteWriter& w,

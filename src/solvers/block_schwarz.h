@@ -28,28 +28,10 @@
 #include "fields/blas.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "solvers/gcr.h"
 #include "solvers/mr.h"
 
 namespace lqcd {
-
-/// Preconditioner interface for the block Krylov drivers: a batched apply
-/// plus per-RHS inner-work reporting, so the outer solver can attribute
-/// preconditioner iterations to individual requests without the cumulative
-/// counter-differencing the single-RHS path needs (the per-solve stats
-/// isolation the serve queue relies on).
-template <typename Field>
-class BlockPreconditioner {
- public:
-  virtual ~BlockPreconditioner() = default;
-
-  /// outs[r] = K ins[r].  When \p inner_steps is non-null it is resized to
-  /// the batch width and receives the inner iterations spent on each RHS.
-  virtual void apply_multi(const std::vector<Field*>& outs,
-                           const std::vector<const Field*>& ins,
-                           std::vector<int>* inner_steps = nullptr) const = 0;
-
-  virtual const LatticeGeometry& geometry() const = 0;
-};
 
 template <typename Field>
 class MultiRhsSchwarzPreconditioner : public BlockPreconditioner<Field> {

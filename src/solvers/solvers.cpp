@@ -33,13 +33,11 @@ template SolverStats gcr_solve(const LinearOperator<WilsonField<float>>&,
                                WilsonField<float>&, const WilsonField<float>&,
                                const LinearOperator<WilsonField<float>>*,
                                const GcrParams&,
-                               const std::function<void(WilsonField<float>&)>&,
-                               GcrCheckpointIo<WilsonField<float>>*);
+                               const std::function<void(WilsonField<float>&)>&);
 template SolverStats gcr_solve(
     const LinearOperator<WilsonField<double>>&, WilsonField<double>&,
     const WilsonField<double>&, const LinearOperator<WilsonField<double>>*,
-    const GcrParams&, const std::function<void(WilsonField<double>&)>&,
-    GcrCheckpointIo<WilsonField<double>>*);
+    const GcrParams&, const std::function<void(WilsonField<double>&)>&);
 template SolverStats multishift_cg_solve(
     const LinearOperator<StaggeredField<float>>&,
     std::vector<StaggeredField<float>>&, const std::vector<double>&,

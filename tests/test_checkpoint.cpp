@@ -1,7 +1,7 @@
 // Checkpoint container and component-serializer tests (soak/checkpoint.h):
 // bitwise round trips for every checkpointable component, typed rejection
-// of corrupt/truncated/incompatible files, and a real mid-solve GCR
-// capture surviving serialization bitwise.
+// of corrupt/truncated/incompatible files, and a real mid-solve batched
+// GCR capture surviving serialization bitwise.
 
 #include <cstdint>
 #include <cstdio>
@@ -11,7 +11,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/gcr_dd.h"
+#include "core/block_gcr_dd.h"
 #include "fault/fault.h"
 #include "gauge/configure.h"
 #include "gauge/heatbath.h"
@@ -213,8 +213,8 @@ TEST(CheckpointComponents, FieldRoundTripIsBitwise) {
   expect_bitwise_equal(f, back, "field payload");
 }
 
-TEST(CheckpointComponents, MidSolveGcrCaptureSurvivesSerialization) {
-  // Capture a real GCR-DD solve mid-flight and require the decoded
+TEST(CheckpointComponents, MidSolveBlockGcrCaptureSurvivesSerialization) {
+  // Capture a real width-2 GCR-DD solve mid-flight and require the decoded
   // checkpoint to be bitwise identical member by member.
   const LatticeGeometry g({4, 4, 4, 8});
   GaugeField<double> u = hot_gauge(g, 41);
@@ -225,38 +225,65 @@ TEST(CheckpointComponents, MidSolveGcrCaptureSurvivesSerialization) {
   p.mass = 0.1;
   p.tol = 1e-5;
   p.block_grid = {1, 1, 1, 2};
-  GcrDdWilsonSolver solver(u, nullptr, p);
-  const WilsonField<double> b = gaussian_wilson_source(g, 43);
+  // At the default delta every iteration of this system restarts early,
+  // leaving no open Krylov cycle at a round boundary; a small delta keeps
+  // the cycle open so the capture carries basis vectors.
+  p.delta = 1e-3;
+  MultiRhsGcrDdWilsonSolver solver(u, nullptr, p);
+  const WilsonField<double> b0 = gaussian_wilson_source(g, 43);
+  const WilsonField<double> b1 = gaussian_wilson_source(g, 44);
 
-  GcrCheckpoint<WilsonField<float>> captured;
-  GcrCheckpointIo<WilsonField<float>> io;
-  io.capture_at = 2;
+  BlockGcrCheckpoint<WilsonField<float>> captured;
+  BlockGcrCheckpointIo<WilsonField<float>> io;
+  io.capture_at_round = 4;
   io.captured = &captured;
   io.stop_after_capture = true;
-  WilsonField<double> x(g);
-  (void)solver.solve(x, b, &io);
+  WilsonField<double> x0(g), x1(g);
+  (void)solver.solve({&x0, &x1}, {&b0, &b1}, &io);
   ASSERT_TRUE(captured.valid());
+  ASSERT_EQ(captured.rhs.size(), 2u);
 
   ByteWriter w;
-  soak::put_gcr_checkpoint(w, captured);
+  soak::put_block_gcr_checkpoint(w, captured);
   ByteReader r{std::span<const std::uint8_t>(w.bytes())};
-  const auto back = soak::get_gcr_checkpoint<WilsonField<float>>(r);
-  EXPECT_EQ(back.k, captured.k);
-  EXPECT_EQ(back.rnorm, captured.rnorm);
-  EXPECT_EQ(back.cycle_start_norm, captured.cycle_start_norm);
-  EXPECT_EQ(back.stats.iterations, captured.stats.iterations);
-  EXPECT_EQ(back.stats.residual_history, captured.stats.residual_history);
-  expect_bitwise_equal(*back.x, *captured.x, "checkpoint iterate");
-  expect_bitwise_equal(*back.rhat, *captured.rhat, "checkpoint residual");
-  ASSERT_EQ(back.p.size(), captured.p.size());
-  ASSERT_EQ(back.z.size(), captured.z.size());
-  for (std::size_t i = 0; i < back.p.size(); ++i) {
-    expect_bitwise_equal(back.p[i], captured.p[i], "krylov p");
-    expect_bitwise_equal(back.z[i], captured.z[i], "krylov z");
+  const auto back = soak::get_block_gcr_checkpoint<WilsonField<float>>(r);
+  EXPECT_TRUE(r.at_end());
+  EXPECT_EQ(back.round, captured.round);
+  ASSERT_EQ(back.rhs.size(), captured.rhs.size());
+  for (std::size_t i = 0; i < back.rhs.size(); ++i) {
+    SCOPED_TRACE("rhs " + std::to_string(i));
+    const auto& bk = back.rhs[i];
+    const auto& cp = captured.rhs[i];
+    EXPECT_EQ(bk.phase, cp.phase);
+    EXPECT_EQ(bk.k, cp.k);
+    EXPECT_EQ(bk.b2, cp.b2);
+    EXPECT_EQ(bk.target, cp.target);
+    EXPECT_EQ(bk.rnorm, cp.rnorm);
+    EXPECT_EQ(bk.cycle_start_norm, cp.cycle_start_norm);
+    EXPECT_EQ(bk.stats.iterations, cp.stats.iterations);
+    EXPECT_EQ(bk.stats.matvecs, cp.stats.matvecs);
+    EXPECT_EQ(bk.stats.restarts, cp.stats.restarts);
+    EXPECT_EQ(bk.stats.inner_iterations, cp.stats.inner_iterations);
+    EXPECT_EQ(bk.stats.final_residual, cp.stats.final_residual);
+    EXPECT_EQ(bk.stats.converged, cp.stats.converged);
+    EXPECT_EQ(bk.stats.residual_history, cp.stats.residual_history);
+    EXPECT_EQ(bk.stats.rollbacks, cp.stats.rollbacks);
+    EXPECT_EQ(bk.stats.rollback_iterations, cp.stats.rollback_iterations);
+    expect_bitwise_equal(*bk.x, *cp.x, "checkpoint iterate");
+    expect_bitwise_equal(*bk.rhat, *cp.rhat, "checkpoint residual");
+    ASSERT_EQ(bk.p.size(), cp.p.size());
+    ASSERT_EQ(bk.z.size(), cp.z.size());
+    for (std::size_t j = 0; j < bk.p.size(); ++j) {
+      expect_bitwise_equal(bk.p[j], cp.p[j], "krylov p");
+      expect_bitwise_equal(bk.z[j], cp.z[j], "krylov z");
+    }
+    EXPECT_EQ(bk.beta, cp.beta);
+    EXPECT_EQ(bk.gamma, cp.gamma);
+    EXPECT_EQ(bk.alpha, cp.alpha);
   }
-  EXPECT_EQ(back.beta, captured.beta);
-  EXPECT_EQ(back.gamma, captured.gamma);
-  EXPECT_EQ(back.alpha, captured.alpha);
+  // The capture lands mid-cycle, so the Krylov members are not vacuous.
+  EXPECT_EQ(captured.rhs[0].k, 3);
+  EXPECT_EQ(captured.rhs[0].p.size(), 3u);
 }
 
 // ---------------------------------------------------------------------------
