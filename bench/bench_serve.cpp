@@ -1,8 +1,9 @@
 // Throughput harness for the batched solve service (src/serve): drives a
 // stream of queued RHS through SolveService and compares against the same
-// RHS solved one at a time on a cached single-RHS solver — the uplift is
-// the gauge-link amortization of the multi-RHS dslash plus the batched
-// Schwarz preconditioner.  Latency percentiles (p50/p95/p99) come from the
+// RHS solved one at a time on a cached single-RHS solver.  Both sides run
+// the block-task Schwarz preconditioner; the uplift is the gauge-link and
+// clover amortization of the multi-RHS dslash and of the batched Schwarz
+// block operator.  Latency percentiles (p50/p95/p99) come from the
 // src/obs histograms the service feeds (`serve.request.latency_s`,
 // `serve.request.wait_s`, `serve.batch.occupancy`).
 //
@@ -10,20 +11,24 @@
 //   --rhs N       number of queued right-hand sides        (default 64)
 //   --batch W     service batch width (Config::max_batch)  (default 8)
 //   --lattice "X Y Z T"  lattice extents                   (default 8 8 8 16)
-//   --json FILE   also write the results as JSON (CI checks in the output
-//                 as BENCH_serve.json)
+//   --json FILE   also write the results as JSON, with the lattice, block
+//                 grid, CPU count, pool workers and build type (CI checks
+//                 in the output as BENCH_serve.json)
 //   --trace FILE  obs trace (see bench/common.h)
 
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/common.h"
 #include "core/gcr_dd.h"
 #include "obs/metrics.h"
 #include "serve/service.h"
+#include "util/parallel_for.h"
 
 namespace {
 
@@ -35,7 +40,15 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// Extents as "X x Y x Z x T" without spaces, e.g. "8x8x8x16".
+std::string extents(const std::array<int, kNDim>& d) {
+  return std::to_string(d[0]) + "x" + std::to_string(d[1]) + "x" +
+         std::to_string(d[2]) + "x" + std::to_string(d[3]);
+}
+
 struct ServeBenchResult {
+  std::array<int, kNDim> lattice{};
+  std::array<int, kNDim> block_grid{};
   int rhs = 0;
   int batch_width = 0;
   double seq_s = 0;
@@ -57,6 +70,12 @@ void write_json(const ServeBenchResult& r, const std::string& path) {
   }
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"bench_serve\",\n");
+  std::fprintf(f, "  \"lattice\": \"%s\",\n", extents(r.lattice).c_str());
+  std::fprintf(f, "  \"block_grid\": \"%s\",\n",
+               extents(r.block_grid).c_str());
+  std::fprintf(f, "  \"nproc\": %u,\n", std::thread::hardware_concurrency());
+  std::fprintf(f, "  \"pool_workers\": %d,\n", worker_count());
+  std::fprintf(f, "  \"build_type\": \"%s\",\n", LQCD_BUILD_TYPE);
   std::fprintf(f, "  \"rhs\": %d,\n", r.rhs);
   std::fprintf(f, "  \"batch_width\": %d,\n", r.batch_width);
   std::fprintf(f, "  \"sequential_s\": %.6f,\n", r.seq_s);
@@ -113,6 +132,8 @@ int main(int argc, char** argv) {
   }
 
   ServeBenchResult result;
+  result.lattice = dims;
+  result.block_grid = sp.block_grid;
   result.rhs = nrhs;
   result.batch_width = batch;
 

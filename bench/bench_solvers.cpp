@@ -78,13 +78,16 @@ void BM_SolveGcrDdBlocks(benchmark::State& state) {
 BENCHMARK(BM_SolveGcrDdBlocks)->Arg(1)->Arg(2)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// One GCR-DD Schwarz apply (10 MR steps, half links and stores) on a Schur
-// vector.  Args: blocks along t, then 0 for the masked
-// SchwarzPreconditioner or 1 for the block-task preconditioner
-// GcrDdWilsonSolver runs.  Both give the same bits (tests/test_gcr_dd.cpp).
+// One GCR-DD Schwarz apply (10 MR steps, half links and stores) on a batch
+// of Schur vectors.  Args: blocks along t; 0 for the masked
+// SchwarzPreconditioner applied to each RHS in turn, or 1 for the
+// block-task preconditioner's apply_multi, which both GCR-DD solvers run;
+// then the batch width.  Both give the same bits per RHS
+// (tests/test_gcr_dd.cpp).
 void BM_SchwarzApply(benchmark::State& state) {
   WilsonSetup s;
   const std::array<int, kNDim> grid{1, 1, 1, static_cast<int>(state.range(0))};
+  const auto width = static_cast<std::size_t>(state.range(2));
   GaugeField<float> u = convert_gauge<float>(s.u);
   half_roundtrip(u);
   const CloverField<float> clover = convert_clover<float>(s.clover);
@@ -92,29 +95,49 @@ void BM_SchwarzApply(benchmark::State& state) {
     half_roundtrip(f, Parity::Even);
   };
   const MrParams mr{10, 1.0};
-  WilsonField<float> in = convert_field<float>(s.b);
-  for (std::int64_t i = s.g.half_volume(); i < s.g.volume(); ++i) {
-    in.at(i) = WilsonSpinor<float>{};
+  std::vector<WilsonField<float>> in;
+  std::vector<WilsonField<float>> out(width, WilsonField<float>(s.g));
+  std::vector<WilsonField<float>*> outs;
+  std::vector<const WilsonField<float>*> ins;
+  for (std::size_t r = 0; r < width; ++r) {
+    in.push_back(convert_field<float>(gaussian_wilson_source(s.g, 90 + r)));
+    for (std::int64_t i = s.g.half_volume(); i < s.g.volume(); ++i) {
+      in.back().at(i) = WilsonSpinor<float>{};
+    }
   }
-  WilsonField<float> out(s.g);
+  for (std::size_t r = 0; r < width; ++r) {
+    outs.push_back(&out[r]);
+    ins.push_back(&in[r]);
+  }
   if (state.range(1) == 0) {
     const BlockMask mask(s.g, grid);
     WilsonCloverSchurOperator<float> op(u, &clover, 0.05, &mask);
     SchwarzPreconditioner<WilsonField<float>> k(op, mask, mr, store);
-    for (auto _ : state) k.apply(out, in);
+    for (auto _ : state) {
+      for (std::size_t r = 0; r < width; ++r) k.apply(out[r], in[r]);
+      benchmark::DoNotOptimize(out.back().sites().data());
+      benchmark::ClobberMemory();
+    }
   } else {
     BlockTaskSchwarzPreconditioner<float> k(u, &clover, 0.05, grid, mr, store);
-    for (auto _ : state) k.apply(out, in);
+    for (auto _ : state) {
+      k.apply_multi(outs, ins);
+      benchmark::DoNotOptimize(out.back().sites().data());
+      benchmark::ClobberMemory();
+    }
   }
   state.SetLabel(state.range(1) == 0 ? "masked" : "block-task");
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(width));
 }
-BENCHMARK(BM_SchwarzApply)->ArgsProduct({{1, 2, 4}, {0, 1}})
+BENCHMARK(BM_SchwarzApply)->ArgsProduct({{1, 2, 4}, {0, 1}, {1, 8}})
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Batched GCR-DD (arg = batch width): 8 RHS solved in batches of the given
 // width on one solver.  Per-RHS iterates are bitwise identical to width 1
-// (tests/test_serve.cpp); the time difference is pure gauge-link
-// amortization in the multi-RHS dslash + batched Schwarz preconditioner.
+// (tests/test_serve.cpp); the time difference is the gauge-link and
+// clover amortization of the multi-RHS dslash and of the block-task
+// Schwarz preconditioner's batched block operator.
 void BM_SolveBlockGcrDd(benchmark::State& state) {
   WilsonSetup s;
   constexpr int kRhs = 8;

@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
 
   std::printf("== staggered pion correlator ==\n");
   std::printf("lattice %d^3 x %d, asqtad, mass = %.3f, beta = %.2f\n\n", ls,
-              ls, nt, mass, beta);
+              nt, mass, beta);
 
   const LatticeGeometry geom({ls, ls, ls, nt});
   GaugeField<double> u = hot_gauge(geom, 515);

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
 
   std::printf("== lqcd-scaling quickstart ==\n");
   std::printf("lattice %d^3 x %d, beta = %.2f, mass = %.3f, tol = %.0e\n\n",
-              ls, ls, nt, beta, mass, tol);
+              ls, nt, beta, mass, tol);
 
   // 1. Gauge configuration: a short quenched heatbath from a hot start.
   const LatticeGeometry geom({ls, ls, ls, nt});

@@ -1,12 +1,13 @@
 #pragma once
 /// \file block_gcr_dd.h
 /// \brief Batched GCR-DD: the multi-RHS twin of GcrDdWilsonSolver.  Same
-/// operator stack and mixed-precision configuration (see core/gcr_dd.h),
-/// but the outer Krylov matvecs and the Schwarz MR steps are issued as
-/// multi-RHS batches so every reconstructed gauge-link load services the
-/// whole batch.  Per-RHS solutions and SolverStats are bitwise/equal to N
-/// independent GcrDdWilsonSolver::solve calls (asserted in
-/// tests/test_serve.cpp).
+/// operator stack, mixed-precision configuration and block-task Schwarz
+/// preconditioner (see core/gcr_dd.h), but the outer Krylov matvecs and
+/// the preconditioner applies are issued as multi-RHS batches: every
+/// reconstructed gauge-link load services the whole batch, and each
+/// Schwarz block task runs the MR steps of every RHS in lockstep.  Per-RHS
+/// solutions and SolverStats are bitwise/equal to N independent
+/// GcrDdWilsonSolver::solve calls (asserted in tests/test_serve.cpp).
 ///
 /// With `rank_grid` set, the outer operator runs through the virtual
 /// cluster per RHS (PerRhsMultiOperator: the overlap schedule is
@@ -19,7 +20,6 @@
 
 #include "core/gcr_dd.h"
 #include "dirac/multi_rhs.h"
-#include "solvers/block_schwarz.h"
 
 namespace lqcd {
 
@@ -31,8 +31,7 @@ class MultiRhsGcrDdWilsonSolver {
                             GcrDdParams params)
       : params_(params),
         u_single_(convert_gauge<float>(u)),
-        clover_single_(detail::gcr_dd_clover(u.geometry(), clover, params)),
-        mask_(u.geometry(), params.block_grid) {
+        clover_single_(detail::gcr_dd_clover(u.geometry(), clover, params)) {
     const CloverField<float>* a = clover_single_ ? &*clover_single_ : nullptr;
     if (params.rank_grid) {
       op_part_ = std::make_unique<PartitionedWilsonCloverSchur<float>>(
@@ -46,20 +45,7 @@ class MultiRhsGcrDdWilsonSolver {
       multi_op_ = std::make_unique<NativeMultiRhsOperator<
           WilsonField<float>, WilsonCloverSchurOperator<float>>>(*op_);
     }
-    // The Dirichlet-cut operator reads its links from u_half_ for as long
-    // as the solver lives.
-    if (params.half_preconditioner) {
-      u_half_.emplace(u_single_);
-      half_roundtrip(*u_half_);
-    }
-    op_dd_ = std::make_unique<WilsonCloverSchurOperator<float>>(
-        u_half_ ? *u_half_ : u_single_, a, params.mass, &mask_);
-    multi_dd_ = std::make_unique<NativeMultiRhsOperator<
-        WilsonField<float>, WilsonCloverSchurOperator<float>>>(*op_dd_);
-    precond_ =
-        std::make_unique<MultiRhsSchwarzPreconditioner<WilsonField<float>>>(
-            *multi_dd_, mask_, params.mr,
-            detail::gcr_dd_store(params.half_preconditioner));
+    precond_ = detail::gcr_dd_schwarz(u_single_, a, params);
   }
 
   /// Solves M xs[r] = bs[r] for every RHS (double precision I/O).  Each
@@ -129,17 +115,11 @@ class MultiRhsGcrDdWilsonSolver {
  private:
   GcrDdParams params_;
   GaugeField<float> u_single_;
-  std::optional<GaugeField<float>> u_half_;  ///< set iff half_preconditioner
   std::optional<CloverField<float>> clover_single_;
-  BlockMask mask_;
   std::unique_ptr<WilsonCloverSchurOperator<float>> op_;
   std::unique_ptr<PartitionedWilsonCloverSchur<float>> op_part_;
   std::unique_ptr<MultiRhsOperator<WilsonField<float>>> multi_op_;
-  std::unique_ptr<WilsonCloverSchurOperator<float>> op_dd_;
-  std::unique_ptr<NativeMultiRhsOperator<WilsonField<float>,
-                                         WilsonCloverSchurOperator<float>>>
-      multi_dd_;
-  std::unique_ptr<MultiRhsSchwarzPreconditioner<WilsonField<float>>> precond_;
+  std::unique_ptr<BlockTaskSchwarzPreconditioner<float>> precond_;
 };
 
 }  // namespace lqcd

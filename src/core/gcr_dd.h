@@ -15,8 +15,10 @@
 ///    whole-lattice SchwarzPreconditioner; block extents must be even.
 ///
 /// Both this solver and its batched twin (core/block_gcr_dd.h) run the one
-/// GCR driver of solvers/gcr.h, this one at width 1, and share their set-up
-/// helpers (detail::gcr_dd_clover, gcr_dd_outer_params, gcr_dd_store).
+/// GCR driver of solvers/gcr.h, this one at width 1, with the same
+/// block-task Schwarz preconditioner, and share their set-up helpers
+/// (detail::gcr_dd_clover, gcr_dd_outer_params, gcr_dd_store,
+/// gcr_dd_schwarz).
 
 #include <array>
 #include <functional>
@@ -109,6 +111,24 @@ inline std::function<void(WilsonField<float>&)> gcr_dd_store(bool half) {
   return [](WilsonField<float>& f) { half_roundtrip(f, Parity::Even); };
 }
 
+/// The block-task Schwarz preconditioner of a GCR-DD solve on the
+/// single-precision links \p u and clover \p a.  The block hops keep
+/// their own copy of the links, so the half round-tripped gauge field of
+/// a half preconditioner lives only while they are built.
+/// \throws std::invalid_argument if a Schwarz block extent is odd.
+inline std::unique_ptr<BlockTaskSchwarzPreconditioner<float>> gcr_dd_schwarz(
+    const GaugeField<float>& u, const CloverField<float>* a,
+    const GcrDdParams& p) {
+  std::optional<GaugeField<float>> u_half;
+  if (p.half_preconditioner) {
+    u_half.emplace(u);
+    half_roundtrip(*u_half);
+  }
+  return std::make_unique<BlockTaskSchwarzPreconditioner<float>>(
+      u_half ? *u_half : u, a, p.mass, p.block_grid, p.mr,
+      gcr_dd_store(p.half_preconditioner));
+}
+
 }  // namespace detail
 
 /// GCR-DD solver for the Wilson-clover system M x = b on the full lattice.
@@ -129,16 +149,7 @@ class GcrDdWilsonSolver {
       op_ = std::make_unique<WilsonCloverSchurOperator<float>>(u_single_, a,
                                                                params.mass);
     }
-    // The block operator keeps its own copy of the links, so the half
-    // round-tripped gauge field is needed only while it is built.
-    std::optional<GaugeField<float>> u_half;
-    if (params.half_preconditioner) {
-      u_half.emplace(u_single_);
-      half_roundtrip(*u_half);
-    }
-    precond_ = std::make_unique<BlockTaskSchwarzPreconditioner<float>>(
-        u_half ? *u_half : u_single_, a, params.mass, params.block_grid,
-        params.mr, detail::gcr_dd_store(params.half_preconditioner));
+    precond_ = detail::gcr_dd_schwarz(u_single_, a, params);
   }
 
   /// Solves M x = b (both on the full lattice, double precision I/O).

@@ -20,6 +20,7 @@
 
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "dirac/multi_rhs.h"
@@ -28,6 +29,8 @@
 #include "dirac/wilson_kernel.h"
 #include "fields/clover.h"
 #include "fields/compressed_gauge.h"
+#include "lattice/neighbor_table.h"
+#include "util/parallel_for.h"
 
 namespace lqcd {
 
@@ -40,7 +43,10 @@ class WilsonCloverSchurOperator : public LinearOperator<WilsonField<Real>> {
                             const CloverField<Real>* a, double mass,
                             const LinkCut* mask = nullptr,
                             Reconstruct recon = Reconstruct::None)
-      : u_(&u), mass_(mass), mask_(mask), tmp_(u.geometry()),
+      : u_(&u), mass_(mass), mask_(mask),
+        nt_(mask == nullptr ? shared_local_neighbors(u.geometry(), 1)
+                            : nullptr),
+        tmp_(u.geometry()),
         diag_(std::make_shared<CloverField<Real>>(u.geometry())),
         inv_diag_(std::make_shared<CloverField<Real>>(u.geometry())) {
     const Real d = static_cast<Real>(4.0 + mass);
@@ -76,8 +82,17 @@ class WilsonCloverSchurOperator : public LinearOperator<WilsonField<Real>> {
   /// Batched M_hat: one site sweep per hop services every RHS from a
   /// single (reconstructed) gauge-link load.  Per-RHS arithmetic replicates
   /// apply() exactly, so outs[r] is bitwise identical to apply(ins[r]).
+  /// \throws std::logic_error on a Dirichlet-cut operator: the batched
+  /// Schwarz runs its cut hops block by block
+  /// (BlockTaskSchwarzPreconditioner), so no batched caller passes a cut.
   void apply_multi(const std::vector<WilsonField<Real>*>& outs,
                    const std::vector<const WilsonField<Real>*>& ins) const {
+    if (mask_ != nullptr) {
+      throw std::logic_error(
+          "WilsonCloverSchurOperator::apply_multi: the operator is "
+          "Dirichlet-cut; batch the cut through "
+          "BlockTaskSchwarzPreconditioner");
+    }
     const std::size_t w = ins.size();
     for (std::size_t r = 0; r < w; ++r) this->count_application();
     while (tmp_multi_.size() < w) tmp_multi_.emplace_back(geometry());
@@ -88,52 +103,35 @@ class WilsonCloverSchurOperator : public LinearOperator<WilsonField<Real>> {
       tmps[r] = &tmp_multi_[r];
       ctmps[r] = &tmp_multi_[r];
     }
-    const LatticeGeometry& g = geometry();
-    // Flat per-RHS site pointers for the clover sweeps below (same hoist as
-    // the multi-RHS hop kernels: no per-site pointer chase per RHS).
-    WilsonSpinor<Real>* tmp_p[kMaxMultiRhs];
-    const WilsonSpinor<Real>* in_p[kMaxMultiRhs];
-    WilsonSpinor<Real>* out_p[kMaxMultiRhs];
+    const std::int64_t h = geometry().half_volume();
     with_gauge(recon_, [&](const auto& ug) {
       // tmp_o = D_oe in_e (all RHS per link load)
-      wilson_hop_multi(tmps, ug, ins, Parity::Odd, mask_);
+      wilson_hop_multi(tmps, ug, ins, Parity::Odd);
       // tmp_o <- A_oo^{-1} tmp_o; like the hops, the clover site block
       // (2x 6x6 Hermitian — heavier than a gauge link) is loaded once and
-      // applied to every RHS.  Per-RHS arithmetic matches apply() exactly.
+      // applied to every RHS.  Each iteration writes only its own site.
       for (std::size_t r = 0; r < w; ++r) outs[r]->set_zero();
-      for (std::size_t base = 0; base < w; base += kMaxMultiRhs) {
-        const std::size_t gw = std::min<std::size_t>(kMaxMultiRhs, w - base);
-        for (std::size_t r = 0; r < gw; ++r) {
-          tmp_p[r] = tmp_multi_[base + r].sites().data();
+      parallel_for(h, [&](std::int64_t i) {
+        const std::int64_t s = h + i;
+        const CloverSite<Real>& cs = inv_diag_->at(s);
+        for (std::size_t r = 0; r < w; ++r) {
+          WilsonSpinor<Real>& v = tmp_multi_[r].at(s);
+          v = clover_apply(cs, v);
         }
-        for (std::int64_t s = g.half_volume(); s < g.volume(); ++s) {
-          const CloverSite<Real>& cs = inv_diag_->at(s);
-          for (std::size_t r = 0; r < gw; ++r) {
-            WilsonSpinor<Real>& v = tmp_p[r][s];
-            v = clover_apply(cs, v);
-          }
-        }
-      }
+      });
       // out_e = D_eo tmp_o
-      wilson_hop_multi(outs, ug, ctmps, Parity::Even, mask_);
+      wilson_hop_multi(outs, ug, ctmps, Parity::Even);
       // out_e = A_ee in_e - 1/4 out_e (again one clover load per site)
-      for (std::size_t base = 0; base < w; base += kMaxMultiRhs) {
-        const std::size_t gw = std::min<std::size_t>(kMaxMultiRhs, w - base);
-        for (std::size_t r = 0; r < gw; ++r) {
-          in_p[r] = ins[base + r]->sites().data();
-          out_p[r] = outs[base + r]->sites().data();
+      parallel_for(h, [&](std::int64_t s) {
+        const CloverSite<Real>& cs = diag_->at(s);
+        for (std::size_t r = 0; r < w; ++r) {
+          WilsonSpinor<Real> v = clover_apply(cs, ins[r]->at(s));
+          WilsonSpinor<Real> hop = outs[r]->at(s);
+          hop *= Real(-0.25);
+          v += hop;
+          outs[r]->at(s) = v;
         }
-        for (std::int64_t s = 0; s < g.half_volume(); ++s) {
-          const CloverSite<Real>& cs = diag_->at(s);
-          for (std::size_t r = 0; r < gw; ++r) {
-            WilsonSpinor<Real> v = clover_apply(cs, in_p[r][s]);
-            WilsonSpinor<Real> h = out_p[r][s];
-            h *= Real(-0.25);
-            v += h;
-            out_p[r][s] = v;
-          }
-        }
-      }
+      });
     });
   }
 
@@ -241,6 +239,9 @@ class WilsonCloverSchurOperator : public LinearOperator<WilsonField<Real>> {
   const GaugeField<Real>* u_;
   double mass_;
   const LinkCut* mask_;
+  /// The neighbour table apply_multi's hops read, held so that the shared
+  /// table (wilson_hop_multi) is built once per operator, not per call.
+  std::shared_ptr<const NeighborTable> nt_;
   mutable WilsonField<Real> tmp_;
   mutable std::vector<WilsonField<Real>> tmp_multi_;  // apply_multi scratch
   std::shared_ptr<CloverField<Real>> diag_;      // A + 4 + m

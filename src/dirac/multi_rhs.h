@@ -41,6 +41,7 @@
 /// selects the SoA fast path.
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -50,7 +51,7 @@
 #include "dirac/operator.h"
 #include "dirac/recon_policy.h"
 #include "fields/lattice_field.h"
-#include "lattice/block_mask.h"
+#include "lattice/neighbor_table.h"
 #include "linalg/gamma.h"
 #include "tune/site_loop.h"
 
@@ -293,14 +294,60 @@ inline void wilson_site_hop4(WilsonSpinor<float>* const* out,
 
 #endif  // LQCD_MULTI_RHS_SIMD
 
+/// The Wilson hop at site \p s for w <= kMaxMultiRhs RHS: out[r][s] =
+/// D in[r] at s over the legs whose neighbour index is set (-1 drops a
+/// leg: the Dirichlet cut of a block hop).  The neighbour indices and the
+/// links are resolved once and shared by every RHS.  Float batches run
+/// four RHS per SIMD lane group; the tail lanes (w % 4), non-float reals
+/// and non-GNU builds run the scalar path, whose per-RHS operation order
+/// is the single-RHS kernel's.  The one batched Wilson site body: the
+/// whole-lattice hop below and PartitionedWilsonClover's block hop both
+/// call it.
+template <typename Real, typename Gauge>
+inline void wilson_site_hop_multi(WilsonSpinor<Real>* const* out,
+                                  const WilsonSpinor<Real>* const* in, int w,
+                                  const Gauge& u, std::int64_t s,
+                                  const std::int64_t* sp,
+                                  const std::int64_t* sm) {
+  int r0 = 0;
+#ifdef LQCD_MULTI_RHS_SIMD
+  if constexpr (std::is_same_v<Real, float>) {
+    for (; r0 + 4 <= w; r0 += 4) {
+      wilson_site_hop4(out + r0, in + r0, u, s, sp, sm);
+    }
+  }
+#endif
+  for (int r = r0; r < w; ++r) {
+    WilsonSpinor<Real> acc{};
+    for (int mu = 0; mu < kNDim; ++mu) {
+      if (sp[mu] >= 0) {
+        const auto& link = u.link(mu, s);
+        const HalfSpinor<Real> h = project(mu, -1, in[r][sp[mu]]);
+        HalfSpinor<Real> t;
+        t[0] = link * h[0];
+        t[1] = link * h[1];
+        accumulate_reconstruct(mu, -1, t, acc);
+      }
+      if (sm[mu] >= 0) {
+        const auto& link = u.link(mu, sm[mu]);
+        const HalfSpinor<Real> h = project(mu, +1, in[r][sm[mu]]);
+        HalfSpinor<Real> t;
+        t[0] = adj_mul(link, h[0]);
+        t[1] = adj_mul(link, h[1]);
+        accumulate_reconstruct(mu, +1, t, acc);
+      }
+    }
+    out[r][s] = acc;
+  }
+}
+
 /// One tuned sweep over a batch of width w <= kMaxMultiRhs.
 template <typename Real, typename Gauge>
 void wilson_hop_multi_group(const std::vector<WilsonField<Real>*>& outs,
                             const Gauge& u,
                             const std::vector<const WilsonField<Real>*>& ins,
-                            std::size_t base, int w,
-                            std::optional<Parity> target,
-                            const LinkCut* mask) {
+                            const NeighborTable& nt, std::size_t base, int w,
+                            std::optional<Parity> target) {
   const LatticeGeometry& g = ins[base]->geometry();
   const std::int64_t begin =
       target.has_value() && *target == Parity::Odd ? g.half_volume() : 0;
@@ -324,56 +371,18 @@ void wilson_hop_multi_group(const std::vector<WilsonField<Real>*>& outs,
   // leave the other outputs with the same final values.
   tuned_site_loop(
       "wilson_hop_multi",
-      multi_rhs_aux(dslash_aux<Real>(target, mask != nullptr, gauge_recon(u)),
-                    w),
+      multi_rhs_aux(dslash_aux<Real>(target, false, gauge_recon(u)), w),
       outs[base]->sites(), end - begin, [&](std::int64_t idx) {
     const std::int64_t s = begin + idx;
-    const Coord x = g.eo_coords(s);
-    // Neighbor indices and the cut mask are lane-independent: resolve them
-    // once per site and share across the SIMD lane groups and scalar tail
-    // (-1 marks a cut leg).
+    // Every entry of the unpartitioned table is local: the neighbours
+    // wrap around, as in wilson_hop.
     std::int64_t sp[kNDim];
     std::int64_t sm[kNDim];
     for (int mu = 0; mu < kNDim; ++mu) {
-      sp[mu] = (mask == nullptr || !mask->crosses(x, mu, +1))
-                   ? g.eo_index(g.shifted(x, mu, +1))
-                   : -1;
-      sm[mu] = (mask == nullptr || !mask->crosses(x, mu, -1))
-                   ? g.eo_index(g.shifted(x, mu, -1))
-                   : -1;
+      sp[mu] = nt.neighbor(s, mu, +1, 1).index;
+      sm[mu] = nt.neighbor(s, mu, -1, 1).index;
     }
-    int r0 = 0;
-#ifdef LQCD_MULTI_RHS_SIMD
-    if constexpr (std::is_same_v<Real, float>) {
-      for (; r0 + 4 <= w; r0 += 4) {
-        detail::wilson_site_hop4(out + r0, in + r0, u, s, sp, sm);
-      }
-    }
-#endif
-    // Scalar path: the tail lanes (w % 4), non-float reals, and non-GNU
-    // builds.  Operation order per RHS is the single-RHS kernel's.
-    for (int r = r0; r < w; ++r) {
-      WilsonSpinor<Real> acc{};
-      for (int mu = 0; mu < kNDim; ++mu) {
-        if (sp[mu] >= 0) {
-          const auto& link = u.link(mu, s);
-          const HalfSpinor<Real> h = project(mu, -1, in[r][sp[mu]]);
-          HalfSpinor<Real> t;
-          t[0] = link * h[0];
-          t[1] = link * h[1];
-          accumulate_reconstruct(mu, -1, t, acc);
-        }
-        if (sm[mu] >= 0) {
-          const auto& link = u.link(mu, sm[mu]);
-          const HalfSpinor<Real> h = project(mu, +1, in[r][sm[mu]]);
-          HalfSpinor<Real> t;
-          t[0] = adj_mul(link, h[0]);
-          t[1] = adj_mul(link, h[1]);
-          accumulate_reconstruct(mu, +1, t, acc);
-        }
-      }
-      out[r][s] = acc;
-    }
+    wilson_site_hop_multi(out, in, w, u, s, sp, sm);
   });
   // Links are loaded once per site for the whole group.
   meter_gauge_bytes(gauge_recon(u), 8 * (end - begin),
@@ -383,17 +392,21 @@ void wilson_hop_multi_group(const std::vector<WilsonField<Real>*>& outs,
 }  // namespace detail
 
 /// outs[r](x) = D ins[r](x) for the selected target sites — the multi-RHS
-/// twin of wilson_hop.  Batches wider than kMaxMultiRhs run in groups.
+/// twin of wilson_hop, with wraparound neighbours read from the shared
+/// table of the lattice's extents (shared_local_neighbors).  Batches wider
+/// than kMaxMultiRhs run in groups.
 template <typename Real, typename Gauge>
 void wilson_hop_multi(const std::vector<WilsonField<Real>*>& outs,
                       const Gauge& u,
                       const std::vector<const WilsonField<Real>*>& ins,
-                      std::optional<Parity> target = std::nullopt,
-                      const LinkCut* mask = nullptr) {
+                      std::optional<Parity> target = std::nullopt) {
+  if (ins.empty()) return;
+  const std::shared_ptr<const NeighborTable> nt =
+      shared_local_neighbors(ins[0]->geometry(), 1);
   for (std::size_t base = 0; base < ins.size(); base += kMaxMultiRhs) {
     const int w = static_cast<int>(
         std::min<std::size_t>(kMaxMultiRhs, ins.size() - base));
-    detail::wilson_hop_multi_group(outs, u, ins, base, w, target, mask);
+    detail::wilson_hop_multi_group(outs, u, ins, *nt, base, w, target);
   }
 }
 

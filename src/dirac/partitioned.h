@@ -33,6 +33,7 @@
 #include "comm/domain_map.h"
 #include "comm/exchange.h"
 #include "dirac/dslash_tune.h"
+#include "dirac/multi_rhs.h"
 #include "dirac/operator.h"
 #include "dirac/recon_policy.h"
 #include "dirac/staggered.h"
@@ -43,6 +44,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tune/site_loop.h"
+#include "util/parallel_for.h"
 #include "util/stopwatch.h"
 
 namespace lqcd {
@@ -249,6 +251,58 @@ class PartitionedWilsonClover : public LinearOperator<WilsonField<Real>> {
   void apply_hop_local(int r, WilsonField<Real>& out,
                        const WilsonField<Real>& in, Parity target) const {
     interior_kernel(r, in, out, target, /*hop_only=*/true);
+  }
+
+  /// Batched apply_hop_local for a Schwarz block's RHS batch: each link
+  /// and neighbour lookup serves every RHS through the shared multi-RHS
+  /// site body (detail::wilson_site_hop_multi), and outs[i] is bitwise
+  /// equal to apply_hop_local on ins[i].  A width-1 batch runs the
+  /// interior kernel itself.  Wider batches run in groups of
+  /// kMaxMultiRhs on parallel_for's default grid (inline inside a serial
+  /// region), with no tune key of their own.
+  void apply_hop_local(int r, const std::vector<WilsonField<Real>*>& outs,
+                       const std::vector<const WilsonField<Real>*>& ins,
+                       Parity target) const {
+    if (ins.size() == 1) {
+      apply_hop_local(r, *outs[0], *ins[0], target);
+      return;
+    }
+    const LatticeGeometry& local = part_.local();
+    const std::int64_t h = local.half_volume();
+    const std::int64_t begin = target == Parity::Odd ? h : 0;
+    for (WilsonField<Real>* out : outs) {
+      // The other parity is zeroed, as in the interior kernel.
+      const auto rest = out->parity_span(opposite(target));
+      std::fill(rest.begin(), rest.end(), WilsonSpinor<Real>{});
+    }
+    with_local_gauge(r, [&](const auto& u) {
+      for (std::size_t base = 0; base < ins.size(); base += kMaxMultiRhs) {
+        const int w = static_cast<int>(
+            std::min<std::size_t>(kMaxMultiRhs, ins.size() - base));
+        const WilsonSpinor<Real>* in[kMaxMultiRhs];
+        WilsonSpinor<Real>* out[kMaxMultiRhs];
+        for (int i = 0; i < w; ++i) {
+          in[i] = ins[base + static_cast<std::size_t>(i)]->sites().data();
+          out[i] = outs[base + static_cast<std::size_t>(i)]->sites().data();
+        }
+        parallel_for(h, [&](std::int64_t idx) {
+          const std::int64_t s = begin + idx;
+          // A ghost entry is a cut leg.
+          std::int64_t sp[kNDim];
+          std::int64_t sm[kNDim];
+          for (int mu = 0; mu < kNDim; ++mu) {
+            const auto fwd = nt_.neighbor(s, mu, +1, 1);
+            sp[mu] = fwd.local() ? fwd.index : -1;
+            const auto bwd = nt_.neighbor(s, mu, -1, 1);
+            sm[mu] = bwd.local() ? bwd.index : -1;
+          }
+          detail::wilson_site_hop_multi(out, in, w, u, s, sp, sm);
+        });
+        // Links are loaded once per site for the whole group.
+        meter_gauge_bytes(gauge_recon(u), interior_links_ * h / local.volume(),
+                          static_cast<int>(sizeof(Real)));
+      }
+    });
   }
 
  private:

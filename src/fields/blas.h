@@ -16,12 +16,12 @@
 /// the lattice index space and adds 1 to the `blas.sweeps` counter — the
 /// currency of the fused-kernel arithmetic in DESIGN.md §13.  The fused
 /// variants (block_cdot, block_caxpy_norm2, caxpy_norm2, cg_update_norm2,
-/// cg_direction_update, scale_cdot, xmy_norm2, block_dot_norm2,
-/// block_mr_update) replace several passes with one; they are bitwise
-/// identical to the sequences they replace because (a) per-site update
-/// order matches the unfused op sequence exactly and (b) reductions always
-/// run on the fixed default chunk grid with partials combined in chunk
-/// order (util/parallel_for.h), never on the autotuner's swept grid.
+/// cg_direction_update, scale_cdot, xmy_norm2) replace several passes with
+/// one; they are bitwise identical to the sequences they replace because
+/// (a) per-site update order matches the unfused op sequence exactly and
+/// (b) reductions always run on the fixed default chunk grid with partials
+/// combined in chunk order (util/parallel_for.h), never on the autotuner's
+/// swept grid.
 
 #include <complex>
 #include <vector>
@@ -522,61 +522,6 @@ double xmy_norm2(const LatticeField<Site>& x, const LatticeField<Site>& y,
   double total = 0;
   for (const double p : partial) total += p;
   return total;
-}
-
-/// Per-block <x, y> and per-block ||x||^2 in one pass — the alpha
-/// numerator and denominator of a block-local MR step (block_dot +
-/// block_norm2 fused).  Each accumulation visits sites in the same order
-/// as its standalone kernel, so both results are bitwise equal to the
-/// pair of calls.
-template <typename Site>
-std::pair<std::vector<std::complex<double>>, std::vector<double>>
-block_dot_norm2(const LatticeField<Site>& x, const LatticeField<Site>& y,
-                const BlockMask& mask) {
-  detail::count_blas_sweep();
-  std::pair<std::vector<std::complex<double>>, std::vector<double>> out;
-  out.first.resize(static_cast<std::size_t>(mask.num_blocks()));
-  out.second.resize(static_cast<std::size_t>(mask.num_blocks()));
-  auto xs = x.sites();
-  auto ys = y.sites();
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const auto b = static_cast<std::size_t>(
-        mask.block_of_site(static_cast<std::int64_t>(i)));
-    const auto v = inner(xs[i], ys[i]);
-    out.first[b] += std::complex<double>(v.real(), v.imag());
-    out.second[b] += static_cast<double>(norm2(xs[i]));
-  }
-  return out;
-}
-
-/// The block-local MR update pair x += a_b r, r -= a_b ar in one pass
-/// (two masked caxpys fused).  Per site the x update reads r before r is
-/// overwritten — the order of the sequential pair — and subtracting
-/// a_b * ar equals adding (-a_b) * ar bitwise (IEEE sign flip is exact),
-/// so both fields match the two-call sequence.  Runs untuned on the
-/// default grid: the loop writes two fields, which the site-loop tuner's
-/// single save/restore span cannot cover.
-template <typename Site>
-void block_mr_update(const std::vector<std::complex<double>>& a,
-                     LatticeField<Site>& r, const LatticeField<Site>& ar,
-                     LatticeField<Site>& x, const BlockMask& mask) {
-  detail::count_blas_sweep();
-  using Real = detail::site_real_t<Site>;
-  auto rs = r.sites();
-  auto as = ar.sites();
-  auto xs = x.sites();
-  parallel_for(static_cast<std::int64_t>(xs.size()), [&](std::int64_t i) {
-    const auto u = static_cast<std::size_t>(i);
-    const auto& ab = a[static_cast<std::size_t>(mask.block_of_site(i))];
-    const Cplx<Real> ac(static_cast<Real>(ab.real()),
-                        static_cast<Real>(ab.imag()));
-    Site t = rs[u];
-    t *= ac;
-    xs[u] += t;
-    Site s = as[u];
-    s *= ac;
-    rs[u] -= s;
-  });
 }
 
 /// y += a_b x on each block b, with block-specific complex coefficients —

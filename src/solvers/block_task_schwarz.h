@@ -4,39 +4,47 @@
 /// (§8.1, Algorithm 1): every Dirichlet block owns its sublattice and runs
 /// its whole MR solve — cut-operator applies, block-local reductions and
 /// reduced-precision stores — as one task, so blocks never wait on each
-/// other inside an apply.
+/// other inside an apply.  One body serves every batch width: apply() is
+/// the width-1 call of apply_multi(), whose block tasks run the MR steps
+/// of every RHS in the batch in lockstep.
 ///
 /// The blocks are the ranks of Partitioning(geom, block_grid).  Each apply
-/// copies a block's sites in through the DomainMap, sets r = b, runs
-/// `mr.steps` MR steps on persistent block-local fields and copies x out.
-/// The blocks are spread over the worker pool, each task in a
-/// SerialRegionGuard so its site loops run inline and nothing is tuned off
-/// the caller thread.  Each block is one serial task, so the parallelism
-/// is min(blocks, workers).  With fewer blocks than half the workers (a
-/// single block on four workers), tasks would leave most workers idle, so
-/// the blocks run one after another on the caller and spread their site
-/// loops over the pool instead; the block reductions stay serial sweeps,
-/// so both ways give the same bits.
+/// copies a block's sites in through the DomainMap, sets r = b for each
+/// RHS, runs `mr.steps` MR steps on persistent block-local fields and
+/// copies x out.  Per step the block applies one batched Schur operator
+/// (each link and clover site loaded once for the batch), then, RHS by
+/// RHS, takes the dot/norm terms, sums them serially, does the fused x/r
+/// update and the stores.  The blocks are spread over the worker pool,
+/// each task in a SerialRegionGuard so its site loops run inline and
+/// nothing is tuned off the caller thread.  Each block is one serial task,
+/// so the parallelism is min(blocks, workers).  With fewer blocks than
+/// half the workers (a single block on four workers), tasks would leave
+/// most workers idle, so the blocks run one after another on the caller
+/// and spread their site loops over the pool instead; the block reductions
+/// stay serial sweeps, so both ways give the same bits.
 /// The block operator is the partitioned Wilson hop with communications
-/// off, reached per block through PartitionedWilsonClover::apply_hop_local:
-/// dropping the NeighborTable's ghost entries is exactly the Dirichlet cut,
-/// so no stencil body lives here.  Its links are stored in the masked
-/// Dirichlet operator's format (dirichlet_recon).  The clover term is
-/// stored per block only on the parity it acts on: A_ee on even sites,
-/// A_oo^{-1} on odd sites.
+/// off, reached per block through PartitionedWilsonClover::apply_hop_local
+/// (its batched overload for wider batches): dropping the NeighborTable's
+/// ghost entries is exactly the Dirichlet cut, so no stencil body lives
+/// here.  Its links are stored in the masked Dirichlet operator's format
+/// (dirichlet_recon).  The clover term is stored per block only on the
+/// parity it acts on: A_ee on even sites, A_oo^{-1} on odd sites.
 ///
-/// **Bitwise contract.**  apply() equals SchwarzPreconditioner over the
-/// masked WilsonCloverSchurOperator (solvers/schwarz.h) bit for bit
-/// (tests/test_gcr_dd.cpp):
+/// **Bitwise contract.**  apply() and every RHS of apply_multi() equal
+/// SchwarzPreconditioner over the masked WilsonCloverSchurOperator
+/// (solvers/schwarz.h) bit for bit (tests/test_gcr_dd.cpp):
 ///  * Block origins are multiples of even block extents, so every site
 ///    keeps its parity and block-local even-odd order is the global order
 ///    restricted to the block.  Each block's dot and norm therefore add the
-///    same terms in the same order as block_dot_norm2's serial sweep, and
-///    the fused x/r update is block_mr_update's per-site arithmetic.
+///    same terms in the same order as mr_solve's serial block_dot and
+///    block_norm2 sweeps, and the fused x/r update is its two block_caxpy
+///    calls' per-site arithmetic.
 ///  * The hop visits the same neighbours in the same order with the same
-///    links as the masked wilson_hop, and both skip exactly the cut terms.
-///    Both store the links in the same format, resolved through the masked
-///    operator's policy entry, so this holds under every LQCD_RECON.
+///    links as the masked wilson_hop, and both skip exactly the cut terms;
+///    the batched hop runs each RHS through the single-RHS operation
+///    sequence (dirac/multi_rhs.h).  Both store the links in the same
+///    format, resolved through the masked operator's policy entry, so this
+///    holds under every LQCD_RECON.
 ///  * mr_solve opens with r = -(A 0) + b.  A 0 is +0 at every site in IEEE
 ///    arithmetic (every accumulator starts at +0, and adding or
 ///    subtracting zeros to +0 stays +0), so -(A 0) + b is b bit for bit;
@@ -44,12 +52,14 @@
 ///    calls.  mr_solve's final residual norm is never read and is skipped.
 /// Block extents must therefore be even; the constructor checks them.
 ///
-/// **Metering.**  An apply adds `mr.steps` to inner_steps() and to
-/// `solver.schwarz.mr_steps` (steps, not steps x blocks), and counts one
-/// `blas.sweeps` per lattice-wide pass: the copy in, the copy out, and the
-/// two fused passes of each MR step.  Block hops meter
-/// `dslash.gauge_bytes` through meter_gauge_bytes.  The `schwarz.apply`
-/// span stays on the caller thread; each block operator is an `mr.op`
+/// **Metering.**  An apply of width w adds w x `mr.steps` to inner_steps()
+/// and to `solver.schwarz.mr_steps` (steps per RHS, not per block);
+/// apply_multi reports `mr.steps` per RHS to the GCR driver.  It counts
+/// w `blas.sweeps` per lattice-wide pass: the copy in, the copy out, and
+/// the two fused passes of each MR step.  Block hops meter
+/// `dslash.gauge_bytes` through meter_gauge_bytes, once per link load.
+/// The `schwarz.apply` (width 1) or `schwarz.apply_multi` span stays on
+/// the caller thread; each block operator is an `mr.op` or `mr.op_multi`
 /// span on whichever thread runs the block.
 
 #include <array>
@@ -69,6 +79,7 @@
 #include "lattice/partition.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "solvers/gcr.h"
 #include "solvers/mr.h"
 #include "util/parallel_for.h"
 
@@ -76,7 +87,8 @@ namespace lqcd {
 
 template <typename Real>
 class BlockTaskSchwarzPreconditioner
-    : public LinearOperator<WilsonField<Real>> {
+    : public LinearOperator<WilsonField<Real>>,
+      public BlockPreconditioner<WilsonField<Real>> {
  public:
   using Field = WilsonField<Real>;
 
@@ -111,31 +123,28 @@ class BlockTaskSchwarzPreconditioner
     }
   }
 
+  /// out = K in: the width-1 call of the batched block solve.
   void apply(Field& out, const Field& in) const override {
     ScopedSpan span("schwarz.apply");
-    if (2 * num_blocks() >= worker_count()) {
-      parallel_for(num_blocks(), [&](std::int64_t b) {
-        SerialRegionGuard serial;
-        solve_block(static_cast<int>(b), out, in);
-      });
-    } else {
-      // One task per block would leave most workers idle: run the blocks
-      // one after another, each spreading its site loops over the pool.
-      for (int b = 0; b < num_blocks(); ++b) solve_block(b, out, in);
-    }
-    inner_steps_ += mr_.steps;
-    metric_counter("solver.schwarz.mr_steps")
-        .add(static_cast<std::uint64_t>(mr_.steps));
-    metric_counter("blas.sweeps")
-        .add(2 + 2 * static_cast<std::uint64_t>(mr_.steps));
+    run({&out}, {&in}, "mr.op");
+  }
+
+  /// outs[i] = K ins[i] for the whole batch, each RHS bitwise equal to
+  /// apply(ins[i]).  Reports `mr.steps` inner steps per RHS.
+  void apply_multi(const std::vector<Field*>& outs,
+                   const std::vector<const Field*>& ins,
+                   std::vector<int>* inner_steps = nullptr) const override {
+    ScopedSpan span("schwarz.apply_multi");
+    run(outs, ins, "mr.op_multi");
+    if (inner_steps != nullptr) inner_steps->assign(ins.size(), mr_.steps);
   }
 
   const LatticeGeometry& geometry() const override { return hop_.geometry(); }
 
   int num_blocks() const { return hop_.partitioning().num_ranks(); }
 
-  /// Total MR steps since construction: `mr.steps` per apply, cumulative
-  /// like SchwarzPreconditioner's tally.
+  /// Total MR steps since construction: `mr.steps` per RHS of each apply,
+  /// cumulative like SchwarzPreconditioner's tally.
   int inner_steps() const { return inner_steps_; }
 
   /// Link format of the block hops (see dirichlet_recon).
@@ -168,11 +177,12 @@ class BlockTaskSchwarzPreconditioner
 
   /// The link format of the masked Dirichlet operator, resolved through
   /// that operator's own policy entry (`wilson_schur_recon`, aux `cut`).
-  /// The batched Schwarz runs the masked operator, so under every
-  /// LQCD_RECON setting both paths run the same links, and 12/8
-  /// reconstruction of the half-rounded links rounds the same way in both.
-  /// Under `tune` the entry is resolved on a transient masked operator,
-  /// exactly as the batched solver resolves it.
+  /// The bitwise reference (SchwarzPreconditioner over the masked
+  /// operator) then runs the same links under every LQCD_RECON setting,
+  /// and 12/8 reconstruction of the half-rounded links rounds the same
+  /// way in both.  Under `tune` the entry is resolved on a transient
+  /// masked operator, exactly as a masked operator on these links
+  /// resolves it.
   static Reconstruct dirichlet_recon(const GaugeField<Real>& u,
                                      const CloverField<Real>* clover,
                                      double mass,
@@ -190,96 +200,165 @@ class BlockTaskSchwarzPreconditioner
     Real norm;
   };
 
+  /// One RHS's block-local MR fields.
+  struct Rhs {
+    explicit Rhs(const LatticeGeometry& g) : x(g), r(g), ar(g), tmp(g) {}
+    Field x, r, ar, tmp;
+  };
+
   /// One block's persistent state, all on the block-local geometry.
   struct Block {
     explicit Block(const LatticeGeometry& g)
-        : clover(g), x(g), r(g), ar(g), tmp(g),
-          terms(static_cast<std::size_t>(g.volume())) {}
+        : clover(g), terms(static_cast<std::size_t>(g.volume())) {}
     CloverField<Real> clover;  ///< A_ee on even sites, A_oo^{-1} on odd
-    Field x, r, ar, tmp;
+    std::vector<Rhs> rhs;      ///< grown to the widest batch seen
+    /// The current batch's fields of rhs, as the batched hop takes them.
+    std::vector<Field*> tmp, ar;
+    std::vector<const Field*> r, ctmp;
     std::vector<Term> terms;
   };
 
-  /// k.ar = M_hat k.r on block b: apply_impl of the masked
-  /// WilsonCloverSchurOperator, step for step.
+  /// The block solves of one apply of width ins.size().
+  void run(const std::vector<Field*>& outs,
+           const std::vector<const Field*>& ins, const char* op_span) const {
+    const std::size_t w = ins.size();
+    // Set up here, on the caller thread, so that no block task allocates
+    // on a pool worker (that raised the resident size).
+    for (Block& k : blocks_) {
+      while (k.rhs.size() < w) k.rhs.emplace_back(hop_.partitioning().local());
+      k.tmp.resize(w);
+      k.ar.resize(w);
+      k.r.resize(w);
+      k.ctmp.resize(w);
+      for (std::size_t i = 0; i < w; ++i) {
+        k.tmp[i] = &k.rhs[i].tmp;
+        k.ctmp[i] = &k.rhs[i].tmp;
+        k.ar[i] = &k.rhs[i].ar;
+        k.r[i] = &k.rhs[i].r;
+      }
+    }
+    if (2 * num_blocks() >= worker_count()) {
+      parallel_for(num_blocks(), [&](std::int64_t b) {
+        SerialRegionGuard serial;
+        solve_block(static_cast<int>(b), outs, ins, op_span);
+      });
+    } else {
+      // One task per block would leave most workers idle: run the blocks
+      // one after another, each spreading its site loops over the pool.
+      for (int b = 0; b < num_blocks(); ++b) {
+        solve_block(b, outs, ins, op_span);
+      }
+    }
+    const auto steps = static_cast<std::uint64_t>(mr_.steps) * w;
+    inner_steps_ += static_cast<int>(steps);
+    metric_counter("solver.schwarz.mr_steps").add(steps);
+    metric_counter("blas.sweeps").add(2 * w + 2 * steps);
+  }
+
+  /// k.ar = M_hat k.r on block b for the batch: apply_impl of the masked
+  /// WilsonCloverSchurOperator, step for step, with each link and clover
+  /// site loaded once for the batch.
   void block_op(int b, Block& k) const {
-    const std::int64_t h = k.r.geometry().half_volume();
+    const std::int64_t h = k.clover.geometry().half_volume();
     hop_.apply_hop_local(b, k.tmp, k.r, Parity::Odd);
     parallel_for(h, [&](std::int64_t i) {
       const std::int64_t s = h + i;
-      k.tmp.at(s) = clover_apply(k.clover.at(s), k.tmp.at(s));
+      const CloverSite<Real>& cs = k.clover.at(s);
+      for (Field* t : k.tmp) t->at(s) = clover_apply(cs, t->at(s));
     });
-    hop_.apply_hop_local(b, k.ar, k.tmp, Parity::Even);
+    hop_.apply_hop_local(b, k.ar, k.ctmp, Parity::Even);
     parallel_for(h, [&](std::int64_t s) {
-      WilsonSpinor<Real> v = clover_apply(k.clover.at(s), k.r.at(s));
-      WilsonSpinor<Real> hop = k.ar.at(s);
-      hop *= Real(-0.25);
-      v += hop;
-      k.ar.at(s) = v;
+      const CloverSite<Real>& cs = k.clover.at(s);
+      for (std::size_t i = 0; i < k.r.size(); ++i) {
+        WilsonSpinor<Real> v = clover_apply(cs, k.r[i]->at(s));
+        WilsonSpinor<Real> hop = k.ar[i]->at(s);
+        hop *= Real(-0.25);
+        v += hop;
+        k.ar[i]->at(s) = v;
+      }
     });
   }
 
-  /// The whole MR solve of block b: mr_solve's masked sequence restricted
-  /// to the block's sites (see the file comment for why it is bitwise).
-  void solve_block(int b, Field& out, const Field& in) const {
-    Block& k = blocks_[static_cast<std::size_t>(b)];
-    const auto map = hop_.domain_map().rank_map(b);
-    auto xs = k.x.sites();
-    auto rs = k.r.sites();
-    auto as = k.ar.sites();
-    const auto src = in.sites();
+  /// One MR update of one RHS on its block, after the block operator:
+  /// mr_solve's masked alpha and x/r update restricted to the block.
+  void mr_update(Block& k, Rhs& q) const {
+    auto xs = q.x.sites();
+    auto rs = q.r.sites();
+    const auto as = q.ar.sites();
     const auto n = static_cast<std::int64_t>(rs.size());
+    // block_dot and block_norm2: <ar, r> and |ar|^2.  The per-site terms
+    // come from one pass; only their sum is a serial sweep, so it adds the
+    // same terms in site order however the site loops run.
     parallel_for(n, [&](std::int64_t i) {
       const auto j = static_cast<std::size_t>(i);
-      rs[j] = src[static_cast<std::size_t>(map[j])];
+      k.terms[j] = {inner(as[j], rs[j]), norm2(as[j])};
     });
-    k.x.set_zero();
+    std::complex<double> num{};
+    double den = 0;
+    for (const Term& t : k.terms) {
+      num += std::complex<double>(t.dot.real(), t.dot.imag());
+      den += static_cast<double>(t.norm);
+    }
+    const std::complex<double> alpha =
+        den > 0 ? mr_.omega * num / den : std::complex<double>{};
+    // The two block_caxpy calls, x += alpha r and r -= alpha ar, in one
+    // pass.
+    const Cplx<Real> ac(static_cast<Real>(alpha.real()),
+                        static_cast<Real>(alpha.imag()));
+    parallel_for(n, [&](std::int64_t i) {
+      const auto j = static_cast<std::size_t>(i);
+      WilsonSpinor<Real> t = rs[j];
+      t *= ac;
+      xs[j] += t;
+      WilsonSpinor<Real> s = as[j];
+      s *= ac;
+      rs[j] -= s;
+    });
     if (low_store_) {
-      low_store_(k.r);  // the stored right-hand side
-      low_store_(k.r);  // r = b - A 0, stored
+      low_store_(q.x);
+      low_store_(q.r);
+    }
+  }
+
+  /// The whole MR solve of block b for every RHS of the batch: mr_solve's
+  /// masked sequence restricted to the block's sites (see the file comment
+  /// for why it is bitwise), the RHS stepping in lockstep.
+  void solve_block(int b, const std::vector<Field*>& outs,
+                   const std::vector<const Field*>& ins,
+                   const char* op_span) const {
+    Block& k = blocks_[static_cast<std::size_t>(b)];
+    const auto map = hop_.domain_map().rank_map(b);
+    const std::size_t w = ins.size();
+    const auto n = static_cast<std::int64_t>(map.size());
+    for (std::size_t i = 0; i < w; ++i) {
+      Rhs& q = k.rhs[i];
+      auto rs = q.r.sites();
+      const auto src = ins[i]->sites();
+      parallel_for(n, [&](std::int64_t j) {
+        rs[static_cast<std::size_t>(j)] =
+            src[static_cast<std::size_t>(map[static_cast<std::size_t>(j)])];
+      });
+      q.x.set_zero();
+      if (low_store_) {
+        low_store_(q.r);  // the stored right-hand side
+        low_store_(q.r);  // r = b - A 0, stored
+      }
     }
     for (int step = 0; step < mr_.steps; ++step) {
       {
-        ScopedSpan op_span("mr.op");
+        ScopedSpan span(op_span);
         block_op(b, k);
       }
-      // block_dot_norm2: <ar, r> and |ar|^2.  The per-site terms come from
-      // one pass; only their sum is a serial sweep, so it adds the same
-      // terms in site order however the site loops run.
-      parallel_for(n, [&](std::int64_t i) {
-        const auto j = static_cast<std::size_t>(i);
-        k.terms[j] = {inner(as[j], rs[j]), norm2(as[j])};
-      });
-      std::complex<double> num{};
-      double den = 0;
-      for (const Term& t : k.terms) {
-        num += std::complex<double>(t.dot.real(), t.dot.imag());
-        den += static_cast<double>(t.norm);
-      }
-      const std::complex<double> alpha =
-          den > 0 ? mr_.omega * num / den : std::complex<double>{};
-      // block_mr_update: x += alpha r, r -= alpha ar in one pass.
-      const Cplx<Real> ac(static_cast<Real>(alpha.real()),
-                          static_cast<Real>(alpha.imag()));
-      parallel_for(n, [&](std::int64_t i) {
-        const auto j = static_cast<std::size_t>(i);
-        WilsonSpinor<Real> t = rs[j];
-        t *= ac;
-        xs[j] += t;
-        WilsonSpinor<Real> s = as[j];
-        s *= ac;
-        rs[j] -= s;
-      });
-      if (low_store_) {
-        low_store_(k.x);
-        low_store_(k.r);
-      }
+      for (std::size_t i = 0; i < w; ++i) mr_update(k, k.rhs[i]);
     }
-    auto dst = out.sites();
-    parallel_for(n, [&](std::int64_t i) {
-      const auto j = static_cast<std::size_t>(i);
-      dst[static_cast<std::size_t>(map[j])] = xs[j];
-    });
+    for (std::size_t i = 0; i < w; ++i) {
+      const auto xs = k.rhs[i].x.sites();
+      auto dst = outs[i]->sites();
+      parallel_for(n, [&](std::int64_t j) {
+        dst[static_cast<std::size_t>(map[static_cast<std::size_t>(j)])] =
+            xs[static_cast<std::size_t>(j)];
+      });
+    }
   }
 
   PartitionedWilsonClover<Real> hop_;  ///< comms off, no clover

@@ -2,6 +2,7 @@
 // preconditioner, block-size dependence, and the half-precision emulation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -9,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 #include "comm/domain_map.h"
 #include "comm/virtual_cluster.h"
@@ -366,39 +368,71 @@ struct BlockTaskCase {
   std::array<int, kNDim> grid;
 };
 
-/// Applies SchwarzPreconditioner over the masked Schur operator and the
-/// block-task preconditioner to two sources; the outputs must be
-/// memcmp-equal.  The twist mu is folded into the clover the way
-/// GcrDdWilsonSolver folds it; \p half (float only) selects the half
-/// preconditioner (half links and half stores).
+/// The masked reference — SchwarzPreconditioner over the masked Schur
+/// operator — and the block-task preconditioner on the same links, clover
+/// and stores, both running \p mr_steps MR steps.  The twist mu is folded
+/// into the clover the way GcrDdWilsonSolver folds it; \p half (float
+/// only) selects the half preconditioner (half links and half stores).
+template <typename Real>
+struct SchwarzPair {
+  SchwarzPair(const BlockTaskCase& c, const GaugeField<double>& u,
+              const CloverField<double>* a, double mu, bool half,
+              int mr_steps = 10)
+      : uk(links(u, half)), store(stores(half)),
+        clover(twisted(u.geometry(), a, mu)), mask(u.geometry(), c.grid),
+        mr{mr_steps, 1.0}, masked(uk, ap(), -0.2, &mask),
+        ref(masked, mask, mr, store),
+        blocks(uk, ap(), -0.2, c.grid, mr, store) {}
+
+  static GaugeField<Real> links(const GaugeField<double>& u, bool half) {
+    GaugeField<Real> uk = convert_gauge<Real>(u);
+    if constexpr (std::is_same_v<Real, float>) {
+      if (half) half_roundtrip(uk);
+    }
+    return uk;
+  }
+  static std::function<void(WilsonField<Real>&)> stores(bool half) {
+    if constexpr (std::is_same_v<Real, float>) {
+      if (half) {
+        return [](WilsonField<float>& f) { half_roundtrip(f, Parity::Even); };
+      }
+    }
+    return nullptr;
+  }
+  static std::optional<CloverField<Real>> twisted(const LatticeGeometry& g,
+                                                  const CloverField<double>* a,
+                                                  double mu) {
+    std::optional<CloverField<Real>> clover;
+    if (a != nullptr) clover = convert_clover<Real>(*a);
+    if (mu != 0.0) {
+      if (!clover) clover.emplace(g);
+      for (std::int64_t s = 0; s < g.volume(); ++s) {
+        add_twist(clover->at(s), static_cast<Real>(mu), +1);
+      }
+    }
+    return clover;
+  }
+  const CloverField<Real>* ap() const { return clover ? &*clover : nullptr; }
+
+  GaugeField<Real> uk;
+  std::function<void(WilsonField<Real>&)> store;
+  std::optional<CloverField<Real>> clover;
+  BlockMask mask;
+  MrParams mr;
+  WilsonCloverSchurOperator<Real> masked;
+  SchwarzPreconditioner<WilsonField<Real>> ref;
+  BlockTaskSchwarzPreconditioner<Real> blocks;
+};
+
+/// Applies the masked reference and the block-task preconditioner to two
+/// sources; the outputs must be memcmp-equal.
 template <typename Real>
 void expect_matches_masked(const BlockTaskCase& c, const GaugeField<double>& u,
                            const CloverField<double>* a, double mu,
                            bool half) {
   const LatticeGeometry& g = u.geometry();
-  GaugeField<Real> uk = convert_gauge<Real>(u);
-  std::function<void(WilsonField<Real>&)> store;
-  if constexpr (std::is_same_v<Real, float>) {
-    if (half) {
-      half_roundtrip(uk);
-      store = [](WilsonField<float>& f) { half_roundtrip(f, Parity::Even); };
-    }
-  }
-  std::optional<CloverField<Real>> clover;
-  if (a != nullptr) clover = convert_clover<Real>(*a);
-  if (mu != 0.0) {
-    if (!clover) clover.emplace(g);
-    for (std::int64_t s = 0; s < g.volume(); ++s) {
-      add_twist(clover->at(s), static_cast<Real>(mu), +1);
-    }
-  }
-  const CloverField<Real>* ap = clover ? &*clover : nullptr;
-  const BlockMask mask(g, c.grid);
-  const MrParams mr{10, 1.0};
-  WilsonCloverSchurOperator<Real> masked(uk, ap, -0.2, &mask);
-  SchwarzPreconditioner<WilsonField<Real>> ref(masked, mask, mr, store);
-  BlockTaskSchwarzPreconditioner<Real> blocks(uk, ap, -0.2, c.grid, mr, store);
-  ASSERT_EQ(blocks.num_blocks(), mask.num_blocks());
+  SchwarzPair<Real> k(c, u, a, mu, half);
+  ASSERT_EQ(k.blocks.num_blocks(), k.mask.num_blocks());
   // Full fields (both parities live) are stricter inputs than the
   // Schur-system vectors GCR passes, whose odd half is zero.  The second
   // apply reuses the persistent block fields.
@@ -406,11 +440,65 @@ void expect_matches_masked(const BlockTaskCase& c, const GaugeField<double>& u,
     const WilsonField<Real> in =
         convert_field<Real>(gaussian_wilson_source(g, seed));
     WilsonField<Real> want(g), got(g);
-    ref.apply(want, in);
-    blocks.apply(got, in);
+    k.ref.apply(want, in);
+    k.blocks.apply(got, in);
     EXPECT_TRUE(bitwise_equal(want, got)) << "source " << seed;
   }
-  EXPECT_EQ(blocks.inner_steps(), ref.inner_steps());
+  EXPECT_EQ(k.blocks.inner_steps(), k.ref.inner_steps());
+}
+
+/// The block-task preconditioner's apply_multi at each of \p widths, on
+/// each worker count of \p workers, against the masked reference applied
+/// to each source: every RHS must be memcmp-equal, and the batch must
+/// report `mr.steps` inner steps per RHS.  The reference outputs do not
+/// depend on the worker count, so they are computed once.  Four MR steps
+/// keep the sanitizer runs short; every step runs the same code.
+template <typename Real>
+void expect_batches_match_masked(const BlockTaskCase& c,
+                                 const GaugeField<double>& u,
+                                 const CloverField<double>* a, double mu,
+                                 bool half, const std::vector<int>& widths,
+                                 const std::vector<int>& workers) {
+  const LatticeGeometry& g = u.geometry();
+  SchwarzPair<Real> k(c, u, a, mu, half, /*mr_steps=*/4);
+  const int most = *std::max_element(widths.begin(), widths.end());
+  std::vector<WilsonField<Real>> in;
+  std::vector<WilsonField<Real>> want;
+  for (int i = 0; i < most; ++i) {
+    in.push_back(convert_field<Real>(
+        gaussian_wilson_source(g, 420u + std::uint64_t(i))));
+    want.emplace_back(g);
+    k.ref.apply(want.back(), in.back());
+  }
+  const int saved = worker_count();
+  int applied = 0;
+  for (const int nw : workers) {
+    set_worker_count(nw);
+    for (const int w : widths) {
+      SCOPED_TRACE("workers " + std::to_string(nw) + " width " +
+                   std::to_string(w));
+      std::vector<WilsonField<Real>> got(static_cast<std::size_t>(w),
+                                         WilsonField<Real>(g));
+      std::vector<WilsonField<Real>*> outs;
+      std::vector<const WilsonField<Real>*> ins;
+      for (int i = 0; i < w; ++i) {
+        outs.push_back(&got[static_cast<std::size_t>(i)]);
+        ins.push_back(&in[static_cast<std::size_t>(i)]);
+      }
+      std::vector<int> inner;
+      k.blocks.apply_multi(outs, ins, &inner);
+      applied += w;
+      EXPECT_EQ(inner, std::vector<int>(static_cast<std::size_t>(w),
+                                        k.mr.steps));
+      for (int i = 0; i < w; ++i) {
+        EXPECT_TRUE(bitwise_equal(want[static_cast<std::size_t>(i)],
+                                  got[static_cast<std::size_t>(i)]))
+            << "rhs " << i;
+      }
+    }
+  }
+  set_worker_count(saved);
+  EXPECT_EQ(k.blocks.inner_steps(), applied * k.mr.steps);
 }
 
 TEST(BlockTaskSchwarz, BitwiseMatchesMaskedReference) {
@@ -455,9 +543,49 @@ TEST(BlockTaskSchwarz, BitwiseMatchesMaskedReference) {
   set_worker_count(workers);
 }
 
+TEST(BlockTaskSchwarz, BatchedBitwiseMatchesMaskedReference) {
+  // apply_multi, the batched preconditioner MultiRhsGcrDdWilsonSolver
+  // runs, over the cases of BitwiseMatchesMaskedReference.  The float
+  // widths cover the four-lane SIMD groups of the batched hop (4, 8), a
+  // ragged scalar tail (3, 5), width 1 (the interior kernel) and two hop
+  // groups (17 > kMaxMultiRhs); the last width, narrower than the one
+  // before, reruns on grown block workspaces.  Two workers run every case
+  // one task per block, sixteen the 2- and 4-block cases block after
+  // block.  The double run keeps alpha in double (see above).
+  const BlockTaskCase cases[] = {{{4, 4, 4, 8}, {1, 1, 1, 2}},
+                                 {{8, 8, 8, 8}, {1, 1, 2, 2}},
+                                 {{4, 4, 8, 8}, {2, 2, 4, 4}}};
+  const std::vector<int> widths{1, 3, 4, 5, 8, 17, 5};
+  for (const BlockTaskCase& c : cases) {
+    const int blocks = c.grid[0] * c.grid[1] * c.grid[2] * c.grid[3];
+    const std::vector<int> workers =
+        blocks >= 8 ? std::vector<int>{2} : std::vector<int>{2, 16};
+    const LatticeGeometry g(c.dims);
+    const GaugeField<double> u = hot_gauge(g, 401);
+    const CloverField<double> a = build_clover_field(u, 1.0);
+    for (const bool with_clover : {false, true}) {
+      for (const double mu : {0.0, 0.15}) {
+        const CloverField<double>* ap = with_clover ? &a : nullptr;
+        SCOPED_TRACE("volume " + std::to_string(g.volume()) + " grid t " +
+                     std::to_string(c.grid[3]) + " clover " +
+                     std::to_string(with_clover) + " mu " +
+                     std::to_string(mu));
+        for (const bool half : {true, false}) {
+          SCOPED_TRACE(half ? "float, half" : "float, single");
+          expect_batches_match_masked<float>(c, u, ap, mu, half, widths,
+                                             workers);
+        }
+        SCOPED_TRACE("double");
+        expect_batches_match_masked<double>(c, u, ap, mu, false, {5},
+                                            workers);
+      }
+    }
+  }
+}
+
 TEST(BlockTaskSchwarz, LinkFormatFollowsTheMaskedOperator) {
-  // The batched Schwarz runs the masked operator and GcrDdWilsonSolver the
-  // block hops, so both must store the links in the same format under
+  // The masked reference runs the masked operator and both GCR-DD solvers
+  // the block hops, so both must store the links in the same format under
   // every LQCD_RECON setting.  For `tune`, the cache is seeded so that the
   // masked operator's entry and the partitioned operator's own entry
   // disagree: the block hops must follow the masked one.
@@ -504,6 +632,12 @@ TEST(BlockTaskSchwarz, LinkFormatFollowsTheMaskedOperator) {
     ref.apply(want, in);
     blocks.apply(got, in);
     EXPECT_TRUE(bitwise_equal(want, got));
+    // A width-4 batch runs the four-lane hop on the same links.
+    std::vector<WilsonField<float>> batch(4, WilsonField<float>(g));
+    std::vector<WilsonField<float>*> outs;
+    for (auto& f : batch) outs.push_back(&f);
+    blocks.apply_multi(outs, {&in, &in, &in, &in});
+    for (const auto& f : batch) EXPECT_TRUE(bitwise_equal(want, f));
   }
   if (saved) {
     setenv("LQCD_RECON", saved->c_str(), 1);

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,7 +31,7 @@
 #include "serve/queue.h"
 #include "serve/service.h"
 #include "soak/checkpoint.h"
-#include "solvers/block_schwarz.h"
+#include "solvers/block_task_schwarz.h"
 #include "solvers/gcr.h"
 #include "solvers/schwarz.h"
 
@@ -73,27 +74,30 @@ void expect_stats_equal(const SolverStats& a, const SolverStats& b,
 // Multi-RHS kernels: per-RHS bitwise identity to the single-RHS twins.
 // ---------------------------------------------------------------------------
 
-TEST(MultiRhs, WilsonHopBitwiseMatchesSingle) {
+/// wilson_hop_multi on \p width sources against wilson_hop on each, on
+/// the whole lattice and on each parity target.
+template <typename Real>
+void expect_hop_multi_matches_single(int width) {
   const LatticeGeometry g({4, 4, 4, 8});
-  const GaugeField<double> u = hot_gauge(g, 211);
-  constexpr int kN = 5;  // not a power of two: exercises a ragged group
-  std::vector<WilsonField<double>> in;
-  std::vector<WilsonField<double>> out_multi;
-  for (int r = 0; r < kN; ++r) {
-    in.push_back(gaussian_wilson_source(g, 212u + std::uint64_t(r)));
+  const GaugeField<Real> u = convert_gauge<Real>(hot_gauge(g, 211));
+  std::vector<WilsonField<Real>> in;
+  std::vector<WilsonField<Real>> out_multi;
+  for (int r = 0; r < width; ++r) {
+    in.push_back(convert_field<Real>(
+        gaussian_wilson_source(g, 212u + std::uint64_t(r))));
     out_multi.emplace_back(g);
   }
-  std::vector<WilsonField<double>*> outs;
-  std::vector<const WilsonField<double>*> ins;
-  for (int r = 0; r < kN; ++r) {
+  std::vector<WilsonField<Real>*> outs;
+  std::vector<const WilsonField<Real>*> ins;
+  for (int r = 0; r < width; ++r) {
     outs.push_back(&out_multi[std::size_t(r)]);
     ins.push_back(&in[std::size_t(r)]);
   }
   for (auto target : {std::optional<Parity>{}, std::optional<Parity>{
                           Parity::Even}, std::optional<Parity>{Parity::Odd}}) {
     wilson_hop_multi(outs, u, ins, target);
-    for (int r = 0; r < kN; ++r) {
-      WilsonField<double> ref(g);
+    for (int r = 0; r < width; ++r) {
+      WilsonField<Real> ref(g);
       set_zero(ref);
       wilson_hop(ref, u, in[std::size_t(r)], target);
       // Restrict the comparison to the written sites when a parity is
@@ -105,12 +109,35 @@ TEST(MultiRhs, WilsonHopBitwiseMatchesSingle) {
                                                         : g.volume();
       for (std::int64_t s = begin; s < end; ++s) {
         EXPECT_EQ(std::memcmp(&out_multi[std::size_t(r)].at(s), &ref.at(s),
-                              sizeof(WilsonSpinor<double>)),
+                              sizeof(WilsonSpinor<Real>)),
                   0)
             << "rhs " << r << " site " << s;
       }
     }
   }
+}
+
+TEST(MultiRhs, WilsonHopBitwiseMatchesSingle) {
+  // Width 5 is not a power of two: a ragged group.  In float it is one
+  // four-lane SIMD group plus a scalar tail.
+  {
+    SCOPED_TRACE("double");
+    expect_hop_multi_matches_single<double>(5);
+  }
+  SCOPED_TRACE("float");
+  expect_hop_multi_matches_single<float>(5);
+}
+
+TEST(MultiRhs, MaskedSchurApplyMultiThrows) {
+  // The batched Schwarz runs its cut hops block by block, so a batched
+  // apply of a Dirichlet-cut Schur operator is refused.
+  const LatticeGeometry g({4, 4, 4, 8});
+  const GaugeField<float> u = convert_gauge<float>(hot_gauge(g, 221));
+  const BlockMask mask(g, {1, 1, 1, 2});
+  const WilsonCloverSchurOperator<float> masked(u, nullptr, 0.1, &mask);
+  WilsonField<float> in(g), out(g);
+  set_zero(in);
+  EXPECT_THROW(masked.apply_multi({&out}, {&in}), std::logic_error);
 }
 
 TEST(MultiRhs, WilsonSchurApplyMultiBitwiseMatchesSingle) {
@@ -192,19 +219,17 @@ TEST(BlockSolvers, BlockGcrBitwiseMatchesGcr) {
     expect_bitwise_equal(x_block[std::size_t(r)], x, "block gcr solution");
   }
 
-  // Preconditioned: the batched Schwarz over the natively batched masked
-  // operator against gcr_solve with the masked single-RHS Schwarz, which
-  // the driver serves through its per-RHS preconditioner adapter.  Only
-  // the batched preconditioner reports its MR steps.
+  // Preconditioned: the block-task Schwarz's batched apply against
+  // gcr_solve with the masked single-RHS Schwarz, which the driver serves
+  // through its per-RHS preconditioner adapter.  Only the batched
+  // preconditioner reports its MR steps.
   const BlockMask mask(g, {1, 1, 1, 2});
   WilsonCloverSchurOperator<float> masked(u_f, &a_f, 0.1, &mask);
-  NativeMultiRhsOperator<WilsonField<float>, WilsonCloverSchurOperator<float>>
-      multi_masked(masked);
   const MrParams mr{6, 1.0};
   const std::function<void(WilsonField<float>&)> store =
       [](WilsonField<float>& f) { half_roundtrip(f, Parity::Even); };
-  const MultiRhsSchwarzPreconditioner<WilsonField<float>> batched_k(
-      multi_masked, mask, mr, store);
+  const BlockTaskSchwarzPreconditioner<float> batched_k(
+      u_f, &a_f, 0.1, {1, 1, 1, 2}, mr, store);
   const SchwarzPreconditioner<WilsonField<float>> solo_k(masked, mask, mr,
                                                          store);
   GcrParams pp;
@@ -234,11 +259,12 @@ TEST(BlockSolvers, BlockGcrDdMatchesSingleAcrossRankModes) {
   // Full stack over the virtual cluster: the batched GCR-DD solver must
   // reproduce GcrDdWilsonSolver per RHS — stats, residual trajectory and
   // the solution fields — in both the sequential reference and the
-  // concurrent rank runtime.
+  // concurrent rank runtime.  Five RHS: the batched Schwarz hops run one
+  // four-lane SIMD group plus a scalar tail until the batch narrows.
   const LatticeGeometry g({4, 4, 4, 8});
   const GaugeField<double> u = thermalized(g, 271);
   const CloverField<double> a = build_clover_field(u, 1.0);
-  constexpr int kN = 3;
+  constexpr int kN = 5;
   std::vector<WilsonField<double>> b;
   for (int r = 0; r < kN; ++r) {
     b.push_back(gaussian_wilson_source(g, 272u + std::uint64_t(r)));
