@@ -23,6 +23,7 @@
 #include "gauge/configure.h"
 #include "gauge/staggered_links.h"
 #include "perfmodel/stencil.h"
+#include "util/parallel_for.h"
 
 namespace {
 
@@ -103,6 +104,25 @@ void BM_WilsonCloverApply(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_WilsonCloverApply)->Unit(benchmark::kMillisecond);
+
+// The clover site algebra alone: clover_apply over the odd half of an L^4
+// float field (8^4 unless LQCD_BENCH_L says otherwise), sites on the
+// worker pool, so the time is wall-clock (real_time).
+void BM_CloverSiteApply(benchmark::State& state) {
+  WilsonFixture f;
+  const CloverField<float> clover = convert_clover<float>(f.clover);
+  const WilsonField<float> in = convert_field<float>(f.in);
+  WilsonField<float> out(f.g);
+  const std::int64_t h = f.g.half_volume();
+  for (auto _ : state) {
+    parallel_for(h, [&](std::int64_t i) {
+      out.at(h + i) = clover_apply(clover.at(h + i), in.at(h + i));
+    });
+    benchmark::DoNotOptimize(out.sites().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_CloverSiteApply)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_WilsonSchurApply(benchmark::State& state) {
   WilsonFixture f;

@@ -28,8 +28,8 @@ int main(int argc, char** argv) {
   const int sweeps = static_cast<int>(args.get_int("sweeps", 20));
 
   std::printf("== quenched gauge generation ==\n");
-  std::printf("lattice %d^3 x %d, beta = %.2f, %d heatbath sweeps ", ls, ls,
-              nt, hb.beta, sweeps);
+  std::printf("lattice %d^3 x %d, beta = %.2f, %d heatbath sweeps ", ls, nt,
+              hb.beta, sweeps);
   std::printf("(+%d OR each)\n\n", hb.overrelax_per_sweep);
 
   const LatticeGeometry geom({ls, ls, ls, nt});

@@ -145,11 +145,12 @@ inline std::string multi_rhs_aux(std::string aux, int width) {
 // operator*(Matrix3, ColorVector), adj_mul(), accumulate_reconstruct()
 // literally below — every lane's result is bit-identical to the single-RHS
 // kernel.  Two scalar details matter: unary minus and conj are IEEE
-// sign-bit flips (exact), and std::complex<float> multiply evaluates the
-// fast path (ac - bd, ad + bc) for the finite, non-overflowing values
-// solver fields hold (the NaN-recovery branch never fires on such data).
-// The build keeps the default SSE2 baseline — no FMA contraction on either
-// path.  tests/test_serve.cpp asserts the per-RHS identity end to end.
+// sign-bit flips (exact), and the scalar kernel writes its complex
+// products out with cmul/cmul_conj (linalg/types.h) as (ac - bd,
+// ad + bc), the sequence cv_mul_acc performs per lane, so the two paths
+// agree for every finite input.  The build keeps the default SSE2
+// baseline — no FMA contraction on either path.  tests/test_serve.cpp
+// asserts the per-RHS identity end to end.
 // ---------------------------------------------------------------------------
 
 /// Four float lanes: one value across four RHS.
@@ -323,17 +324,13 @@ inline void wilson_site_hop_multi(WilsonSpinor<Real>* const* out,
       if (sp[mu] >= 0) {
         const auto& link = u.link(mu, s);
         const HalfSpinor<Real> h = project(mu, -1, in[r][sp[mu]]);
-        HalfSpinor<Real> t;
-        t[0] = link * h[0];
-        t[1] = link * h[1];
+        const HalfSpinor<Real> t = link * h;
         accumulate_reconstruct(mu, -1, t, acc);
       }
       if (sm[mu] >= 0) {
         const auto& link = u.link(mu, sm[mu]);
         const HalfSpinor<Real> h = project(mu, +1, in[r][sm[mu]]);
-        HalfSpinor<Real> t;
-        t[0] = adj_mul(link, h[0]);
-        t[1] = adj_mul(link, h[1]);
+        const HalfSpinor<Real> t = adj_mul(link, h);
         accumulate_reconstruct(mu, +1, t, acc);
       }
     }

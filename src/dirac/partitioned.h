@@ -473,7 +473,12 @@ class PartitionedWilsonClover : public LinearOperator<WilsonField<Real>> {
     const std::int64_t end =
         target.has_value() && *target == Parity::Even ? local.half_volume()
                                                       : local.volume();
-    if (target.has_value()) out.set_zero();
+    // The loop below writes every target site; only the other parity
+    // needs zeroing.
+    if (target.has_value()) {
+      const auto rest = out.parity_span(opposite(*target));
+      std::fill(rest.begin(), rest.end(), WilsonSpinor<Real>{});
+    }
     // Sites are written independently; the loop granularity is autotuned
     // (shared across ranks: every rank has the same local volume, so rank 0
     // tunes and the rest hit the cache).
@@ -489,18 +494,14 @@ class PartitionedWilsonClover : public LinearOperator<WilsonField<Real>> {
         if (fwd.local()) {
           const HalfSpinor<Real> h = project(mu, -1, in.at(fwd.index));
           const auto& link = u.link(mu, s);
-          HalfSpinor<Real> t;
-          t[0] = link * h[0];
-          t[1] = link * h[1];
+          const HalfSpinor<Real> t = link * h;
           accumulate_reconstruct(mu, -1, t, hop);
         }
         const auto bwd = nt_.neighbor(s, mu, -1, 1);
         if (bwd.local()) {
           const HalfSpinor<Real> h = project(mu, +1, in.at(bwd.index));
           const auto& link = u.link(mu, bwd.index);
-          HalfSpinor<Real> t;
-          t[0] = adj_mul(link, h[0]);
-          t[1] = adj_mul(link, h[1]);
+          const HalfSpinor<Real> t = adj_mul(link, h);
           accumulate_reconstruct(mu, +1, t, hop);
         }
       }
@@ -560,18 +561,14 @@ class PartitionedWilsonClover : public LinearOperator<WilsonField<Real>> {
       if (!fwd.local() && fwd.zone == ghost_zone_id(mu, 0)) {
         const HalfSpinor<Real>& h = sg.at(fwd.zone, fwd.index);
         const auto& link = u.link(mu, s);
-        HalfSpinor<Real> t;
-        t[0] = link * h[0];
-        t[1] = link * h[1];
+        const HalfSpinor<Real> t = link * h;
         accumulate_reconstruct(mu, -1, t, hop);
       }
       const auto bwd = nt_.neighbor(s, mu, -1, 1);
       if (!bwd.local() && bwd.zone == ghost_zone_id(mu, 1)) {
         const HalfSpinor<Real>& h = sg.at(bwd.zone, bwd.index);
         const Matrix3<Real>& link = gg.at(bwd.zone, bwd.index);
-        HalfSpinor<Real> t;
-        t[0] = adj_mul(link, h[0]);
-        t[1] = adj_mul(link, h[1]);
+        const HalfSpinor<Real> t = adj_mul(link, h);
         accumulate_reconstruct(mu, +1, t, hop);
       }
       if (!hop_only) hop *= Real(-0.5);

@@ -196,9 +196,7 @@ inline WilsonSpinor<Real> soa_wilson_hop_site(const LatticeGeometry& g,
       const Coord xp = g.shifted(x, mu, +1);
       const HalfSpinor<Real> h = project(mu, -1, in.site_at(g.eo_index(xp)));
       const Matrix3<Real> link = u.link(mu, s);
-      HalfSpinor<Real> t;
-      t[0] = link * h[0];
-      t[1] = link * h[1];
+      const HalfSpinor<Real> t = link * h;
       accumulate_reconstruct(mu, -1, t, acc);
     }
     if (mask == nullptr || !mask->crosses(x, mu, -1)) {
@@ -206,9 +204,7 @@ inline WilsonSpinor<Real> soa_wilson_hop_site(const LatticeGeometry& g,
       const std::int64_t sm = g.eo_index(xm);
       const HalfSpinor<Real> h = project(mu, +1, in.site_at(sm));
       const Matrix3<Real> link = u.link(mu, sm);
-      HalfSpinor<Real> t;
-      t[0] = adj_mul(link, h[0]);
-      t[1] = adj_mul(link, h[1]);
+      const HalfSpinor<Real> t = adj_mul(link, h);
       accumulate_reconstruct(mu, +1, t, acc);
     }
   }

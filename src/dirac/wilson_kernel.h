@@ -54,18 +54,14 @@ inline WilsonSpinor<Real> wilson_hop_site(const LatticeGeometry& g,
       const Coord xp = g.shifted(x, mu, +1);
       const HalfSpinor<Real> h = project(mu, -1, in.at(xp));
       const auto& link = u.link(mu, s);
-      HalfSpinor<Real> t;
-      t[0] = link * h[0];
-      t[1] = link * h[1];
+      const HalfSpinor<Real> t = link * h;
       accumulate_reconstruct(mu, -1, t, acc);
     }
     if (mask == nullptr || !mask->crosses(x, mu, -1)) {
       const Coord xm = g.shifted(x, mu, -1);
       const HalfSpinor<Real> h = project(mu, +1, in.at(xm));
       const auto& link = u.link(mu, g.eo_index(xm));
-      HalfSpinor<Real> t;
-      t[0] = adj_mul(link, h[0]);
-      t[1] = adj_mul(link, h[1]);
+      const HalfSpinor<Real> t = adj_mul(link, h);
       accumulate_reconstruct(mu, +1, t, acc);
     }
   }

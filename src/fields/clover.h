@@ -51,7 +51,7 @@ WilsonSpinor<Real> clover_apply(const CloverSite<Real>& cs,
     for (int r = 0; r < 6; ++r) {
       Cplx<Real> acc{};
       for (int c = 0; c < 6; ++c) {
-        acc += blk(r, c) * psi[2 * b + c / 3][c % 3];
+        acc += cmul(blk(r, c), psi[2 * b + c / 3][c % 3]);
       }
       out[2 * b + r / 3][r % 3] = acc;
     }

@@ -17,6 +17,7 @@
 /// stencils; the byte accounting in perfmodel assumes it.
 
 #include <array>
+#include <type_traits>
 
 #include "lattice/geometry.h"  // kNDim
 #include "linalg/types.h"
@@ -103,6 +104,80 @@ struct HalfSpinor {
     return h[static_cast<std::size_t>(a)];
   }
 };
+
+namespace detail {
+
+#ifdef LQCD_SOA_SIMD
+/// U h (Adj false) or U^dagger h (Adj true) for both color vectors of a
+/// float half spinor at once, on 4-float lanes holding (h0_j, h1_j): per
+/// output row, acc += v_j * re(m) + swap(v_j) * (-im(m), im(m), ...) for
+/// j = 0, 1, 2 from acc = 0, with m = u(i,j) or conj(u(j,i)).  Per
+/// component that is cmul's (or cmul_conj's) product, re*re + im*(-im)
+/// being IEEE's re*re - im*im and the imaginary sum commuted, added to the
+/// accumulator in the scalar mat-vec's order, so every bit matches
+/// operator*(Matrix3, ColorVector) and adj_mul.
+template <bool Adj>
+inline HalfSpinor<float> mul_half_lanes(const Matrix3<float>& u,
+                                        const HalfSpinor<float>& h) {
+  using V = LaneVec<float, 4>;
+  static_assert(sizeof(HalfSpinor<float>) == 12 * sizeof(float));
+  const float* p = reinterpret_cast<const float*>(&h);
+  V v[kNColor]{};
+  V sv[kNColor]{};
+  for (int j = 0; j < kNColor; ++j) {
+    v[j] = V{p[2 * j], p[2 * j + 1], p[6 + 2 * j], p[7 + 2 * j]};
+    sv[j] = swap_re_im(v[j]);
+  }
+  HalfSpinor<float> t;
+  for (int i = 0; i < kNColor; ++i) {
+    V acc{};
+    for (int j = 0; j < kNColor; ++j) {
+      const Cplx<float> m = Adj ? std::conj(u(j, i)) : u(i, j);
+      acc += v[j] * V{m.real(), m.real(), m.real(), m.real()} +
+             sv[j] * V{-m.imag(), m.imag(), -m.imag(), m.imag()};
+    }
+    t[0][i] = Cplx<float>(acc[0], acc[1]);
+    t[1][i] = Cplx<float>(acc[2], acc[3]);
+  }
+  return t;
+}
+#endif
+
+}  // namespace detail
+
+/// The hop's color multiply: U applied to both color vectors of h,
+/// bitwise operator*(Matrix3, ColorVector) on each.  Float runs the two
+/// vectors on one set of lanes (detail::mul_half_lanes).
+template <typename Real>
+HalfSpinor<Real> operator*(const Matrix3<Real>& u, const HalfSpinor<Real>& h) {
+#ifdef LQCD_SOA_SIMD
+  if constexpr (std::is_same_v<Real, float>) {
+    return detail::mul_half_lanes<false>(u, h);
+  } else
+#endif
+  {
+    HalfSpinor<Real> t;
+    t[0] = u * h[0];
+    t[1] = u * h[1];
+    return t;
+  }
+}
+
+/// U^dagger applied to both color vectors of h, bitwise adj_mul on each.
+template <typename Real>
+HalfSpinor<Real> adj_mul(const Matrix3<Real>& u, const HalfSpinor<Real>& h) {
+#ifdef LQCD_SOA_SIMD
+  if constexpr (std::is_same_v<Real, float>) {
+    return detail::mul_half_lanes<true>(u, h);
+  } else
+#endif
+  {
+    HalfSpinor<Real> t;
+    t[0] = adj_mul(u, h[0]);
+    t[1] = adj_mul(u, h[1]);
+    return t;
+  }
+}
 
 /// Projects psi onto the upper two spin rows of (1 + sign*gamma_mu).
 template <typename Real>

@@ -19,6 +19,7 @@
 #include <limits>
 #include <span>
 
+#include "linalg/simd.h"
 #include "linalg/types.h"
 
 namespace lqcd {
@@ -80,6 +81,70 @@ void decode_site_half(std::span<const std::int16_t> in, float norm,
 /// would see after storing to and reloading from half storage.
 void roundtrip_site_half(std::span<float> components);
 
+namespace detail {
+
+/// One component of the fixed-width round trip after sanitize: scale,
+/// clamp, round half away from zero, truncating convert, decode.  The
+/// scalar step roundtrip_site_half_n runs on the components its lanes do
+/// not cover.
+inline float requantize_half_component(float x, float inv, float back) {
+  float v = x * inv * kHalfScale;
+  v = std::min(kHalfScale, v);
+  v = std::max(-kHalfScale, v);
+  const int q = static_cast<int>(v + std::copysign(0.5f, v));
+  return static_cast<float>(q) * back;
+}
+
+#ifdef LQCD_SOA_SIMD
+/// Four components of a site on the lanes of one 128-bit float vector, and
+/// the int32 vector of the same width.  Casts between the two reinterpret
+/// the bits; __builtin_convertvector converts values.  A vector compare
+/// yields an all-ones or all-zeros int32 lane, and `m ? a : b` selects per
+/// lane.
+using HalfLanes = LaneVec<float, 4>;
+typedef std::int32_t HalfLaneInts __attribute__((vector_size(16)));
+
+/// sanitize_half_component on four lanes, as selects on the IEEE class of
+/// the input bits: NaN -> +0, +-Inf -> +-FLT_MAX, subnormal or zero ->
+/// signed zero, anything else unchanged.  The classes are disjoint, so
+/// this is the scalar select chain's result for every input.
+inline HalfLanes sanitize_half_lanes(HalfLanes x) {
+  const HalfLaneInts bits = (HalfLaneInts)x;
+  const HalfLaneInts sign = bits & INT32_MIN;
+  const HalfLaneInts mag = bits & INT32_MAX;
+  constexpr std::int32_t kInf = 0x7f800000;
+  constexpr std::int32_t kFltMax = 0x7f7fffff;
+  constexpr std::int32_t kFltMin = 0x00800000;
+  HalfLaneInts out = mag > kInf ? HalfLaneInts{} : bits;
+  out = mag == kInf ? (sign | kFltMax) : out;
+  out = mag < kFltMin ? sign : out;
+  return (HalfLanes)out;
+}
+
+/// |x| per lane: clears the sign bit, as std::fabs.
+inline HalfLanes half_lane_abs(HalfLanes x) {
+  return (HalfLanes)((HalfLaneInts)x & INT32_MAX);
+}
+
+/// requantize_half_component on four lanes, operation for operation: the
+/// same two multiplies, std::min(kHalfScale, v) and std::max(-kHalfScale,
+/// v) as the compare-selects that define them (minps/maxps), copysign as a
+/// sign-bit or, one add, a truncating convert (cvttps2dq, like the scalar
+/// cvttss2si) and the decode multiply.
+inline HalfLanes requantize_half_lanes(HalfLanes x, float inv, float back) {
+  HalfLanes v = x * inv * kHalfScale;
+  v = v < kHalfScale ? v : HalfLanes{} + kHalfScale;
+  v = -kHalfScale < v ? v : HalfLanes{} - kHalfScale;
+  const HalfLaneInts half =
+      (HalfLaneInts)(HalfLanes{} + 0.5f) | ((HalfLaneInts)v & INT32_MIN);
+  const HalfLaneInts q =
+      __builtin_convertvector(v + (HalfLanes)half, HalfLaneInts);
+  return __builtin_convertvector(q, HalfLanes) * back;
+}
+#endif
+
+}  // namespace detail
+
 /// Fixed-width inline round trip: element-for-element the same values as
 /// encode_site_half + decode_site_half, restated branch-free so the speed
 /// is data-independent (the solvers call this after every kernel, so it
@@ -93,20 +158,44 @@ void roundtrip_site_half(std::span<float> components);
 /// encode_site_half exactly: both paths flush the same components before
 /// computing the norm, so NaN/Inf/denormal sites decode to identical bits
 /// here and there.
+///
+/// With GCC vector extensions the components run four at a time on float
+/// lanes (the scalar loops do not vectorize: the selects read as control
+/// flow).  Every lane step is vertical and performs the scalar step's IEEE
+/// operation, so each component sees the scalar sequence.  The norm is a
+/// max over sanitized magnitudes, none of them NaN or -0, so the lane-wise
+/// max followed by a max across lanes gives the scalar loop's norm in any
+/// order.  The N % 4 tail (a staggered site has 6 reals) and compilers
+/// without vector extensions take the scalar body.
 template <int N>
 inline void roundtrip_site_half_n(float* x) {
-  for (int i = 0; i < N; ++i) x[i] = sanitize_half_component(x[i]);
   float norm = 0.0f;
-  for (int i = 0; i < N; ++i) norm = std::max(norm, std::fabs(x[i]));
+#ifdef LQCD_SOA_SIMD
+  constexpr int kFirst = N - N % 4;  // the scalar loops take the rest
+  detail::HalfLanes v[kFirst / 4 + 1]{};
+  detail::HalfLanes vmax{};
+  for (int k = 0; k < kFirst / 4; ++k) {
+    v[k] = detail::sanitize_half_lanes(lane_load<float, 4>(x + 4 * k));
+    const detail::HalfLanes a = detail::half_lane_abs(v[k]);
+    vmax = vmax < a ? a : vmax;
+  }
+  for (int l = 0; l < 4; ++l) norm = std::max(norm, vmax[l]);
+#else
+  constexpr int kFirst = 0;
+#endif
+  for (int i = kFirst; i < N; ++i) x[i] = sanitize_half_component(x[i]);
+  for (int i = kFirst; i < N; ++i) norm = std::max(norm, std::fabs(x[i]));
   if (norm == 0.0f) norm = 1.0f;
   const float inv = 1.0f / norm;
   const float back = norm / kHalfScale;
-  for (int i = 0; i < N; ++i) {
-    float v = x[i] * inv * kHalfScale;
-    v = std::min(kHalfScale, v);
-    v = std::max(-kHalfScale, v);
-    const int q = static_cast<int>(v + std::copysign(0.5f, v));
-    x[i] = static_cast<float>(q) * back;
+#ifdef LQCD_SOA_SIMD
+  for (int k = 0; k < kFirst / 4; ++k) {
+    lane_store<float, 4>(x + 4 * k,
+                         detail::requantize_half_lanes(v[k], inv, back));
+  }
+#endif
+  for (int i = kFirst; i < N; ++i) {
+    x[i] = detail::requantize_half_component(x[i], inv, back);
   }
 }
 

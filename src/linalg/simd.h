@@ -18,12 +18,16 @@
 ///
 /// **Bitwise contract.**  All operations here are *vertical*: each lane
 /// undergoes exactly the IEEE operation the scalar kernel would perform on
-/// that site, and lanes never mix.  Combined with the facts that (a)
-/// libstdc++'s std::complex multiply is the textbook (ac - bd, ad + bc)
-/// with no fixup, (b) unary minus and conj are exact sign-bit flips, and
-/// (c) the default build is the SSE2 baseline so no FMA contraction exists
-/// on either path, a lane kernel that mirrors the scalar operation
-/// sequence step for step produces bit-identical results per site.  This
+/// that site, and lanes never mix.  Combined with the facts that (a) the
+/// scalar kernels write every complex product out with cmul/cmul_conj
+/// (linalg/types.h), the textbook (ac - bd, ad + bc) that cl_mul_acc
+/// performs per lane — std::complex `*` forms the same products but
+/// follows them with a NaN test that calls __mulsc3, so the lane and
+/// scalar paths agree for every finite input, (b) unary minus and conj are
+/// exact sign-bit flips, and (c) the default build is the SSE2 baseline so
+/// no FMA contraction exists on either path, a lane kernel that mirrors
+/// the scalar operation sequence step for step produces bit-identical
+/// results per site.  This
 /// is the same argument dirac/multi_rhs.h makes for its SIMD-across-RHS
 /// path; tests/test_soa.cpp asserts it for the SoA site kernels.
 

@@ -14,9 +14,9 @@ template <typename Real>
 ColorVector<Real> cross_conj(const ColorVector<Real>& a,
                              const ColorVector<Real>& b) {
   ColorVector<Real> r;
-  r[0] = std::conj(a[1] * b[2] - a[2] * b[1]);
-  r[1] = std::conj(a[2] * b[0] - a[0] * b[2]);
-  r[2] = std::conj(a[0] * b[1] - a[1] * b[0]);
+  r[0] = std::conj(cmul(a[1], b[2]) - cmul(a[2], b[1]));
+  r[1] = std::conj(cmul(a[2], b[0]) - cmul(a[0], b[2]));
+  r[2] = std::conj(cmul(a[0], b[1]) - cmul(a[1], b[0]));
   return r;
 }
 

@@ -13,6 +13,8 @@
 #include <complex>
 #include <cstddef>
 
+#include "linalg/simd.h"
+
 namespace lqcd {
 
 template <typename Real>
@@ -20,6 +22,30 @@ using Cplx = std::complex<Real>;
 
 inline constexpr int kNColor = 3;
 inline constexpr int kNSpin = 4;
+
+/// a * b written out: the two products and one subtract or add per
+/// component that GCC's inline complex multiply forms, without the C99
+/// Annex G fixup behind it (a NaN test that calls __mulsc3/__muldc3).  That
+/// branch keeps every site loop built on std::complex `*` scalar; without
+/// it the loops vectorize.  The fixup only runs when both components came
+/// out NaN, which finite inputs never produce, so cmul is bitwise equal to
+/// std::complex `*` whenever a and b are finite, overflow and underflow
+/// included (tests/test_su3.cpp fuzzes it).  Complex division stays std::complex: its scaling is not a
+/// written-out formula, and clover_invert's LU relies on it.
+template <typename Real>
+inline Cplx<Real> cmul(const Cplx<Real>& a, const Cplx<Real>& b) {
+  return Cplx<Real>(a.real() * b.real() - a.imag() * b.imag(),
+                    a.real() * b.imag() + a.imag() * b.real());
+}
+
+/// conj(a) * b written out, with the contract of cmul: the products of
+/// conj(a) = (ar, -ai) with b, the exact sign flips folded into the add and
+/// subtract.
+template <typename Real>
+inline Cplx<Real> cmul_conj(const Cplx<Real>& a, const Cplx<Real>& b) {
+  return Cplx<Real>(a.real() * b.real() + a.imag() * b.imag(),
+                    a.real() * b.imag() - a.imag() * b.real());
+}
 
 /// A 3-component complex color vector: one staggered fermion site, or one
 /// spin component of a Wilson spinor.  6 reals.
@@ -41,7 +67,7 @@ struct ColorVector {
     return *this;
   }
   ColorVector& operator*=(const Cplx<Real>& a) {
-    for (auto& x : c) x *= a;
+    for (auto& x : c) x = cmul(x, a);
     return *this;
   }
   ColorVector& operator*=(Real a) {
@@ -68,7 +94,7 @@ struct ColorVector {
 template <typename Real>
 Cplx<Real> inner(const ColorVector<Real>& a, const ColorVector<Real>& b) {
   Cplx<Real> s{};
-  for (int i = 0; i < kNColor; ++i) s += std::conj(a[i]) * b[i];
+  for (int i = 0; i < kNColor; ++i) s += cmul_conj(a[i], b[i]);
   return s;
 }
 
@@ -79,6 +105,17 @@ Real norm2(const ColorVector<Real>& a) {
   for (int i = 0; i < kNColor; ++i) s += std::norm(a[i]);
   return s;
 }
+
+#ifdef LQCD_SOA_SIMD
+/// Swaps the real and imaginary parts of the complex values on a 128-bit
+/// lane pack (an exact permutation).
+inline LaneVec<float, 4> swap_re_im(const LaneVec<float, 4>& v) {
+  return LaneVec<float, 4>{v[1], v[0], v[3], v[2]};
+}
+inline LaneVec<double, 2> swap_re_im(const LaneVec<double, 2>& v) {
+  return LaneVec<double, 2>{v[1], v[0]};
+}
+#endif
 
 /// A complex 3x3 color matrix (gauge link).  18 reals.
 template <typename Real>
@@ -109,7 +146,7 @@ struct Matrix3 {
     return *this;
   }
   Matrix3& operator*=(const Cplx<Real>& a) {
-    for (auto& x : m) x *= a;
+    for (auto& x : m) x = cmul(x, a);
     return *this;
   }
   Matrix3& operator*=(Real a) {
@@ -127,7 +164,7 @@ struct Matrix3 {
     for (int i = 0; i < kNColor; ++i) {
       for (int k = 0; k < kNColor; ++k) {
         const Cplx<Real> aik = a(i, k);
-        for (int j = 0; j < kNColor; ++j) r(i, j) += aik * b(k, j);
+        for (int j = 0; j < kNColor; ++j) r(i, j) += cmul(aik, b(k, j));
       }
     }
     return r;
@@ -150,7 +187,7 @@ ColorVector<Real> operator*(const Matrix3<Real>& u, const ColorVector<Real>& v) 
   ColorVector<Real> r;
   for (int i = 0; i < kNColor; ++i) {
     Cplx<Real> s{};
-    for (int j = 0; j < kNColor; ++j) s += u(i, j) * v[j];
+    for (int j = 0; j < kNColor; ++j) s += cmul(u(i, j), v[j]);
     r[i] = s;
   }
   return r;
@@ -162,7 +199,7 @@ ColorVector<Real> adj_mul(const Matrix3<Real>& u, const ColorVector<Real>& v) {
   ColorVector<Real> r;
   for (int i = 0; i < kNColor; ++i) {
     Cplx<Real> s{};
-    for (int j = 0; j < kNColor; ++j) s += std::conj(u(j, i)) * v[j];
+    for (int j = 0; j < kNColor; ++j) s += cmul_conj(u(j, i), v[j]);
     r[i] = s;
   }
   return r;
@@ -208,8 +245,33 @@ struct WilsonSpinor {
     for (int i = 0; i < kNSpin; ++i) s[static_cast<std::size_t>(i)] -= o[i];
     return *this;
   }
+  /// Every component times a, bitwise cmul(component, a) (the caxpy-type
+  /// BLAS passes and the MR update).  With GCC vector extensions the
+  /// components run in pairs (float) or one at a time (double) on 128-bit
+  /// lanes holding (re, im, re, im): v * ar + swap(v) * (-ai, ai, ...).
+  /// Per component that is re * ar + im * (-ai), which IEEE defines as
+  /// re * ar - im * ai, and im * ar + re * ai, cmul's sum in the other
+  /// order; so the lanes keep cmul's bits.  Left to the compiler, the
+  /// twelve cmul calls vectorize into scalar products and shuffles.
   WilsonSpinor& operator*=(const Cplx<Real>& a) {
+#ifdef LQCD_SOA_SIMD
+    constexpr int kL = static_cast<int>(16 / sizeof(Real));
+    using V = LaneVec<Real, kL>;
+    static_assert(sizeof(s) == sizeof(Real) * 2 * kNSpin * kNColor);
+    V re_scale{};
+    V im_scale{};
+    for (int l = 0; l < kL; ++l) {
+      re_scale[l] = a.real();
+      im_scale[l] = l % 2 == 0 ? -a.imag() : a.imag();
+    }
+    Real* p = reinterpret_cast<Real*>(s.data());
+    for (int k = 0; k < 2 * kNSpin * kNColor; k += kL) {
+      const V v = lane_load<Real, kL>(p + k);
+      lane_store<Real, kL>(p + k, v * re_scale + swap_re_im(v) * im_scale);
+    }
+#else
     for (auto& v : s) v *= a;
+#endif
     return *this;
   }
   WilsonSpinor& operator*=(Real a) {

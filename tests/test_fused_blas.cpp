@@ -264,6 +264,48 @@ TEST_F(FusedBlasTest, WorkerCountInvariance) {
     EXPECT_EQ(d_ref[j].real(), d_par[j].real());
     EXPECT_EQ(d_ref[j].imag(), d_par[j].imag());
   }
+
+  // The half-precision store runs its sites on the pool, and inline inside
+  // a serial region (block and rank tasks): the same bits at 1 worker, at
+  // 4 or more, and in a serial region, on either parity.
+  const WilsonField<float> wf = convert_field<float>(w);
+  const StaggeredField<float> sf =
+      convert_field<float>(gaussian_staggered_source(g, 230));
+  for (const Parity p : {Parity::Even, Parity::Odd}) {
+    set_worker_count(1);
+    WilsonField<float> w_ref = wf;
+    StaggeredField<float> s_ref = sf;
+    half_roundtrip(w_ref, p);
+    half_roundtrip(s_ref, p);
+
+    set_worker_count(std::max(4, hw));
+    WilsonField<float> w_pool = wf;
+    StaggeredField<float> s_pool = sf;
+    half_roundtrip(w_pool, p);
+    half_roundtrip(s_pool, p);
+
+    WilsonField<float> w_serial = wf;
+    StaggeredField<float> s_serial = sf;
+    {
+      SerialRegionGuard serial;
+      half_roundtrip(w_serial, p);
+      half_roundtrip(s_serial, p);
+    }
+    for (const auto* f : {&w_pool, &w_serial}) {
+      EXPECT_EQ(std::memcmp(w_ref.sites().data(), f->sites().data(),
+                            w_ref.sites().size_bytes()),
+                0);
+    }
+    for (const auto* f : {&s_pool, &s_serial}) {
+      EXPECT_EQ(std::memcmp(s_ref.sites().data(), f->sites().data(),
+                            s_ref.sites().size_bytes()),
+                0);
+    }
+    // The store changed the live parity (it is not a no-op on this data).
+    EXPECT_NE(std::memcmp(w_ref.sites().data(), wf.sites().data(),
+                          wf.sites().size_bytes()),
+              0);
+  }
 }
 
 TEST_F(FusedBlasTest, SweepCounterCountsOnePassPerOp) {

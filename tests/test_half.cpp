@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 
@@ -93,30 +94,43 @@ TEST(Half, SanitizeClampsAndFlushes) {
             -std::numeric_limits<float>::min());
 }
 
-TEST(Half, NonFiniteSiteEncodesIdenticallyOnEveryPath) {
-  // The regression this guards: a NaN/Inf/denormal component must decode
-  // to the same bit pattern whichever entry point encoded it — the
-  // spanwise codec (encode/decode), the in-place round trip, and the
-  // branch-free inline twin the mixed-precision solvers run.
-  std::array<float, 24> site{};
+/// True when the inline round trip roundtrip_site_half_n<N> (lanes plus
+/// scalar tail) writes the bits of the scalar reference, encode_site_half
+/// then decode_site_half.
+template <std::size_t N>
+bool lane_codec_matches_reference(const std::array<float, N>& site) {
+  std::array<std::int16_t, N> enc{};
+  std::array<float, N> reference{};
+  decode_site_half(enc, encode_site_half(site, enc), reference);
+  std::array<float, N> inline_codec = site;
+  roundtrip_site_half_n<static_cast<int>(N)>(inline_codec.data());
+  return std::memcmp(reference.data(), inline_codec.data(),
+                     sizeof(reference)) == 0;
+}
+
+/// A NaN, +-Inf and two subnormals placed at \p slots of an otherwise
+/// Gaussian site must decode to the same bits through every entry point.
+template <std::size_t N>
+void expect_nonfinite_site_identical(const std::array<std::size_t, 5>& slots) {
+  std::array<float, N> site{};
   Rng rng(7);
   for (auto& v : site) v = static_cast<float>(rng.gaussian());
-  site[0] = std::numeric_limits<float>::quiet_NaN();
-  site[5] = std::numeric_limits<float>::infinity();
-  site[11] = -std::numeric_limits<float>::infinity();
-  site[17] = std::numeric_limits<float>::denorm_min();
-  site[23] = -1e-41f;  // subnormal
+  site[slots[0]] = std::numeric_limits<float>::quiet_NaN();
+  site[slots[1]] = std::numeric_limits<float>::infinity();
+  site[slots[2]] = -std::numeric_limits<float>::infinity();
+  site[slots[3]] = std::numeric_limits<float>::denorm_min();
+  site[slots[4]] = -1e-41f;  // subnormal
 
-  std::array<float, 24> decoded{};
-  std::array<std::int16_t, 24> enc{};
+  std::array<float, N> decoded{};
+  std::array<std::int16_t, N> enc{};
   const float norm = encode_site_half(site, enc);
   decode_site_half(enc, norm, decoded);
 
-  std::array<float, 24> via_roundtrip = site;
+  std::array<float, N> via_roundtrip = site;
   roundtrip_site_half(via_roundtrip);
 
-  std::array<float, 24> via_inline = site;
-  roundtrip_site_half_n<24>(via_inline.data());
+  std::array<float, N> via_inline = site;
+  roundtrip_site_half_n<static_cast<int>(N)>(via_inline.data());
 
   for (std::size_t i = 0; i < site.size(); ++i) {
     EXPECT_FALSE(std::isnan(decoded[i])) << i;
@@ -130,7 +144,84 @@ TEST(Half, NonFiniteSiteEncodesIdenticallyOnEveryPath) {
   // q * (norm / kHalfScale) may legitimately round back to +-Inf — what
   // the codec guarantees for them is the same bits on every path, asserted
   // above.)
-  EXPECT_EQ(decoded[0], 0.0f);
+  EXPECT_EQ(decoded[slots[0]], 0.0f);
+}
+
+TEST(Half, NonFiniteSiteEncodesIdenticallyOnEveryPath) {
+  // The regression this guards: a NaN/Inf/denormal component must decode
+  // to the same bit pattern whichever entry point encoded it — the
+  // spanwise codec (encode/decode), the in-place round trip, and the
+  // branch-free inline twin the mixed-precision solvers run.  A Wilson
+  // site (24 reals, all on lanes) and a staggered one (6 reals: one lane
+  // group and a two-component scalar tail, which holds +Inf and a
+  // subnormal here).
+  expect_nonfinite_site_identical<24>({0, 5, 11, 17, 23});
+  expect_nonfinite_site_identical<6>({0, 4, 2, 3, 5});
+}
+
+template <std::size_t N>
+void expect_lane_codec_matches_reference(std::uint64_t seed) {
+  constexpr float kMax = std::numeric_limits<float>::max();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            -std::numeric_limits<float>::quiet_NaN(),
+                            kInf,
+                            -kInf,
+                            kMax,
+                            -kMax,
+                            std::numeric_limits<float>::denorm_min(),
+                            -1e-41f,
+                            std::numeric_limits<float>::min(),
+                            0.0f,
+                            -0.0f};
+  Rng rng(seed);
+  int mismatches = 0;
+  int first_bad = -1;
+  constexpr int kSites = 20000;
+  for (int n = 0; n < kSites; ++n) {
+    std::array<float, N> site{};
+    // Cycle through: one scale per site across the float range; a wide
+    // spread of scales inside the site (tiny components quantize to zero
+    // next to huge ones); and specials sprinkled over a scaled site.
+    const int mode = n % 3;
+    const int site_exp = static_cast<int>(rng.below(260)) - 140;
+    for (auto& v : site) {
+      const int e =
+          mode == 1 ? static_cast<int>(rng.below(260)) - 140 : site_exp;
+      v = std::ldexp(static_cast<float>(rng.gaussian()), e);
+      if (mode == 2 && rng.below(5) == 0) {
+        v = specials[rng.below(std::size(specials))];
+      }
+    }
+    if (!lane_codec_matches_reference(site)) {
+      if (first_bad < 0) first_bad = n;
+      ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "N = " << N << ", first bad site " << first_bad;
+
+  // Whole-site edge cases: all +0, all -0, clamped norms, every component
+  // the same special.
+  for (const float x : specials) {
+    std::array<float, N> site;
+    site.fill(x);
+    EXPECT_TRUE(lane_codec_matches_reference(site)) << "N = " << N << ", " << x;
+  }
+  std::array<float, N> mixed{};
+  for (std::size_t i = 0; i < N; ++i) mixed[i] = specials[i % std::size(specials)];
+  EXPECT_TRUE(lane_codec_matches_reference(mixed)) << "N = " << N;
+  std::array<float, N> clamped{};
+  clamped.fill(1.0f);
+  clamped[N - 1] = -kMax;  // the norm is FLT_MAX, in the scalar tail for 6
+  EXPECT_TRUE(lane_codec_matches_reference(clamped)) << "N = " << N;
+}
+
+TEST(Half, LaneCodecBitwiseMatchesScalarReference) {
+  // roundtrip_site_half_n runs on float lanes (with a scalar tail for
+  // N % 4); encode_site_half + decode_site_half stay scalar and are the
+  // reference.
+  expect_lane_codec_matches_reference<24>(31);
+  expect_lane_codec_matches_reference<6>(32);
 }
 
 TEST(Half, PackedFieldMatchesEmulationOnNonFiniteSpinor) {

@@ -3,9 +3,207 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+
+#include "linalg/gamma.h"
 
 namespace lqcd {
 namespace {
+
+/// A random real with magnitude 10^e, e uniform in [-max_exp, max_exp],
+/// and a random sign; one draw in 16 is instead +-0 or a subnormal.
+template <typename Real>
+Real spread_real(Rng& rng, double max_exp) {
+  using Lim = std::numeric_limits<Real>;
+  const Real specials[] = {Real(0), -Real(0), Lim::denorm_min(),
+                           -Lim::denorm_min(), Lim::min() / Real(1024),
+                           -Lim::min() / Real(3)};
+  if (rng.below(16) == 0) return specials[rng.below(std::size(specials))];
+  const double mag = std::pow(10.0, rng.uniform(-max_exp, max_exp));
+  return static_cast<Real>(rng.below(2) == 0 ? mag : -mag);
+}
+
+bool same_bits(const void* a, const void* b, std::size_t n) {
+  return std::memcmp(a, b, n) == 0;
+}
+
+/// cmul/cmul_conj against std::complex `*`, `*=` and std::conj(a) * b,
+/// memcmp per product.  The magnitudes reach past the type's overflow and
+/// underflow thresholds, so Inf/NaN components and subnormal results are
+/// among the products compared.
+template <typename Real>
+void expect_cmul_matches_std_complex(std::uint64_t seed, double max_exp) {
+  Rng rng(seed);
+  constexpr int kPairs = 1'000'000;
+  int mismatches = 0;
+  int first_bad = -1;
+  for (int i = 0; i < kPairs; ++i) {
+    const Cplx<Real> a(spread_real<Real>(rng, max_exp),
+                       spread_real<Real>(rng, max_exp));
+    const Cplx<Real> b(spread_real<Real>(rng, max_exp),
+                       spread_real<Real>(rng, max_exp));
+    const Cplx<Real> product = a * b;
+    Cplx<Real> in_place = a;
+    in_place *= b;
+    const Cplx<Real> conj_product = std::conj(a) * b;
+    const Cplx<Real> c = cmul(a, b);
+    const Cplx<Real> cc = cmul_conj(a, b);
+    if (!same_bits(&c, &product, sizeof c) ||
+        !same_bits(&c, &in_place, sizeof c) ||
+        !same_bits(&cc, &conj_product, sizeof cc)) {
+      if (first_bad < 0) first_bad = i;
+      ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "first mismatch at pair " << first_bad;
+}
+
+/// WilsonSpinor *= a (on 128-bit lanes where the build has vector
+/// extensions) against std::complex `*=` per component, memcmp, over the
+/// same spread of magnitudes.
+template <typename Real>
+void expect_spinor_scale_matches_std_complex(std::uint64_t seed,
+                                             double max_exp) {
+  Rng rng(seed);
+  constexpr int kSpinors = 100'000;
+  int mismatches = 0;
+  for (int i = 0; i < kSpinors; ++i) {
+    WilsonSpinor<Real> psi;
+    for (int sp = 0; sp < kNSpin; ++sp) {
+      for (int c = 0; c < kNColor; ++c) {
+        psi[sp][c] = Cplx<Real>(spread_real<Real>(rng, max_exp),
+                                spread_real<Real>(rng, max_exp));
+      }
+    }
+    const Cplx<Real> a(spread_real<Real>(rng, max_exp),
+                       spread_real<Real>(rng, max_exp));
+    WilsonSpinor<Real> expect = psi;
+    for (int sp = 0; sp < kNSpin; ++sp) {
+      for (int c = 0; c < kNColor; ++c) expect[sp][c] *= a;
+    }
+    psi *= a;
+    if (!same_bits(&psi, &expect, sizeof psi)) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(Su3, SpinorScaleBitwiseMatchesStdComplex) {
+  expect_spinor_scale_matches_std_complex<float>(25, 30.0);
+  expect_spinor_scale_matches_std_complex<double>(26, 200.0);
+}
+
+/// The hop's color multiply on a half spinor (float runs both color
+/// vectors on one set of lanes) against the per-vector mat-vecs, memcmp.
+template <typename Real>
+void expect_half_spinor_multiply_matches_per_vector(std::uint64_t seed,
+                                                     double max_exp) {
+  Rng rng(seed);
+  constexpr int kTrials = 50'000;
+  int mismatches = 0;
+  for (int i = 0; i < kTrials; ++i) {
+    Matrix3<Real> u;
+    for (auto& z : u.m) {
+      z = Cplx<Real>(spread_real<Real>(rng, max_exp),
+                     spread_real<Real>(rng, max_exp));
+    }
+    HalfSpinor<Real> h;
+    for (int a = 0; a < 2; ++a) {
+      for (int c = 0; c < kNColor; ++c) {
+        h[a][c] = Cplx<Real>(spread_real<Real>(rng, max_exp),
+                             spread_real<Real>(rng, max_exp));
+      }
+    }
+    const HalfSpinor<Real> t = u * h;
+    const HalfSpinor<Real> ta = adj_mul(u, h);
+    const ColorVector<Real> expect[4] = {u * h[0], u * h[1], adj_mul(u, h[0]),
+                                         adj_mul(u, h[1])};
+    if (!same_bits(&t[0], &expect[0], sizeof expect[0]) ||
+        !same_bits(&t[1], &expect[1], sizeof expect[1]) ||
+        !same_bits(&ta[0], &expect[2], sizeof expect[2]) ||
+        !same_bits(&ta[1], &expect[3], sizeof expect[3])) {
+      ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(Su3, HalfSpinorMultiplyBitwiseMatchesPerVector) {
+  // Unit-scale data as the hop sees it, then magnitudes past overflow and
+  // underflow.
+  expect_half_spinor_multiply_matches_per_vector<float>(27, 1.0);
+  expect_half_spinor_multiply_matches_per_vector<float>(28, 30.0);
+  expect_half_spinor_multiply_matches_per_vector<double>(29, 200.0);
+}
+
+TEST(Su3, CmulBitwiseMatchesStdComplexFloat) {
+  expect_cmul_matches_std_complex<float>(21, 30.0);
+}
+
+TEST(Su3, CmulBitwiseMatchesStdComplexDouble) {
+  expect_cmul_matches_std_complex<double>(22, 30.0);
+  // Past double's own overflow and underflow thresholds too.
+  expect_cmul_matches_std_complex<double>(23, 200.0);
+}
+
+TEST(Su3, SiteAlgebraBitwiseMatchesStdComplexForm) {
+  // The AoS site algebra routes its products through cmul/cmul_conj; on
+  // finite data every result keeps the bits of the std::complex form it
+  // replaced, restated here operation for operation.
+  Rng rng(24);
+  auto cv = [&] {
+    ColorVector<float> v;
+    for (int i = 0; i < kNColor; ++i) {
+      v[i] = Cplx<float>(static_cast<float>(rng.gaussian()),
+                         static_cast<float>(rng.gaussian()));
+    }
+    return v;
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    const Matrix3<float> u = convert<float>(random_su3(rng));
+    const Matrix3<float> w = convert<float>(random_su3(rng));
+    const ColorVector<float> a = cv();
+    const ColorVector<float> b = cv();
+    const Cplx<float> z(static_cast<float>(rng.gaussian()),
+                        static_cast<float>(rng.gaussian()));
+
+    ColorVector<float> uv, uhv, scaled = a, cross;
+    Cplx<float> dot{};
+    Matrix3<float> uw;
+    for (int i = 0; i < kNColor; ++i) {
+      Cplx<float> s{}, t{};
+      for (int j = 0; j < kNColor; ++j) {
+        s += u(i, j) * a[j];
+        t += std::conj(u(j, i)) * a[j];
+      }
+      uv[i] = s;
+      uhv[i] = t;
+      scaled[i] *= z;
+      dot += std::conj(a[i]) * b[i];
+      for (int k = 0; k < kNColor; ++k) {
+        for (int j = 0; j < kNColor; ++j) uw(i, j) += u(i, k) * w(k, j);
+      }
+    }
+    cross[0] = std::conj(a[1] * b[2] - a[2] * b[1]);
+    cross[1] = std::conj(a[2] * b[0] - a[0] * b[2]);
+    cross[2] = std::conj(a[0] * b[1] - a[1] * b[0]);
+
+    const ColorVector<float> got_uv = u * a;
+    const ColorVector<float> got_uhv = adj_mul(u, a);
+    const ColorVector<float> got_scaled = z * a;
+    const ColorVector<float> got_cross = cross_conj(a, b);
+    const Cplx<float> got_dot = inner(a, b);
+    const Matrix3<float> got_uw = u * w;
+    EXPECT_TRUE(same_bits(&got_uv, &uv, sizeof uv));
+    EXPECT_TRUE(same_bits(&got_uhv, &uhv, sizeof uhv));
+    EXPECT_TRUE(same_bits(&got_scaled, &scaled, sizeof scaled));
+    EXPECT_TRUE(same_bits(&got_cross, &cross, sizeof cross));
+    EXPECT_TRUE(same_bits(&got_dot, &dot, sizeof dot));
+    EXPECT_TRUE(same_bits(&got_uw, &uw, sizeof uw));
+  }
+}
 
 TEST(Su3, RandomIsUnitary) {
   Rng rng(1);
