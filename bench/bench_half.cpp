@@ -1,7 +1,7 @@
 // Microbenchmarks of the half-precision codec: per-site quantization, the
 // field-wide round trip used by the mixed-precision solvers, and packing
-// into genuine int16 storage.  The round trips run their sites on the
-// worker pool, so they report wall-clock time (real_time).
+// into genuine int16 storage.  The field round trips report wall-clock
+// time (real_time), like the solver benches.
 
 #include <benchmark/benchmark.h>
 

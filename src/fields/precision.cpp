@@ -1,7 +1,5 @@
 #include "fields/precision.h"
 
-#include "util/parallel_for.h"
-
 namespace lqcd {
 
 namespace {
@@ -9,14 +7,14 @@ template <typename Site>
 void roundtrip_sites(std::span<Site> sites) {
   // Site value types are standard-layout aggregates of std::complex, so
   // their storage is exactly an array of floats; the fixed component count
-  // lets the compiler unroll the per-site lane codec.  Sites are
-  // independent, so the pool's chunking cannot change a bit; inside a
-  // serial region (block and rank tasks) parallel_for runs inline.
+  // lets the compiler unroll the per-site lane codec.  The loop runs on
+  // the caller: a Schur-parity store of an 8^4 field takes about 0.1 ms on
+  // the lanes, too little to pay for waking the pool's workers four times
+  // per outer GCR iteration (DESIGN.md §21).
   constexpr int kReals = static_cast<int>(sizeof(Site) / sizeof(float));
-  parallel_for(static_cast<std::int64_t>(sites.size()), [&](std::int64_t i) {
-    roundtrip_site_half_n<kReals>(
-        reinterpret_cast<float*>(&sites[static_cast<std::size_t>(i)]));
-  });
+  for (Site& s : sites) {
+    roundtrip_site_half_n<kReals>(reinterpret_cast<float*>(&s));
+  }
 }
 
 }  // namespace

@@ -265,9 +265,9 @@ TEST_F(FusedBlasTest, WorkerCountInvariance) {
     EXPECT_EQ(d_ref[j].imag(), d_par[j].imag());
   }
 
-  // The half-precision store runs its sites on the pool, and inline inside
-  // a serial region (block and rank tasks): the same bits at 1 worker, at
-  // 4 or more, and in a serial region, on either parity.
+  // The half-precision store gives the same bits at 1 worker, at 4 or
+  // more, and inside a serial region (block and rank tasks), on either
+  // parity, whichever thread runs its sites.
   const WilsonField<float> wf = convert_field<float>(w);
   const StaggeredField<float> sf =
       convert_field<float>(gaussian_staggered_source(g, 230));
