@@ -6,10 +6,13 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <memory>
+#include <vector>
 
 #include "bench/tune_main.h"
 #include "comm/virtual_cluster.h"
 #include "dirac/even_odd.h"
+#include "dirac/multi_rhs.h"
 #include "dirac/partitioned.h"
 #include "dirac/recon_policy.h"
 #include "dirac/soa_kernel.h"
@@ -58,12 +61,14 @@ struct WilsonFixture {
   CloverField<double> clover = build_clover_field(u, 1.0);
   WilsonField<double> in = gaussian_wilson_source(g, 2);
   WilsonField<double> out{g};
+  // Held for the timed loops, so no hop call rebuilds the shared table.
+  std::shared_ptr<const NeighborTable> nt = shared_local_neighbors(g, 1);
 };
 
 void BM_WilsonHop(benchmark::State& state) {
   WilsonFixture f;
   for (auto _ : state) {
-    wilson_hop(f.out, f.u, f.in);
+    wilson_hop(f.out, f.u, f.in, *f.nt);
     benchmark::DoNotOptimize(f.out.sites().data());
   }
   state.counters["Mflops"] = benchmark::Counter(
@@ -143,7 +148,7 @@ void BM_WilsonHopSinglePrecision(benchmark::State& state) {
   const WilsonField<float> inf = convert_field<float>(f.in);
   WilsonField<float> outf(f.g);
   for (auto _ : state) {
-    wilson_hop(outf, uf, inf);
+    wilson_hop(outf, uf, inf, *f.nt);
     benchmark::DoNotOptimize(outf.sites().data());
   }
   state.counters["Mflops"] = benchmark::Counter(
@@ -152,6 +157,47 @@ void BM_WilsonHopSinglePrecision(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_WilsonHopSinglePrecision)->Unit(benchmark::kMillisecond);
+
+// The multi-RHS hop (dirac/multi_rhs.h) over the whole L^4 float lattice,
+// arg = batch width: 4 and 8 fill the four-RHS SIMD lanes, 5 adds one
+// scalar tail RHS, 1 is the scalar site body alone.  Sites run on the
+// worker pool, so the time is wall-clock (real_time); Mflops counts every
+// RHS.
+void BM_WilsonHopMulti(benchmark::State& state) {
+  WilsonFixture f;
+  const int width = static_cast<int>(state.range(0));
+  const GaugeField<float> u = convert_gauge<float>(f.u);
+  std::vector<WilsonField<float>> in;
+  std::vector<WilsonField<float>> out;
+  for (int r = 0; r < width; ++r) {
+    in.push_back(convert_field<float>(
+        gaussian_wilson_source(f.g, 10u + static_cast<std::uint64_t>(r))));
+    out.emplace_back(f.g);
+  }
+  std::vector<WilsonField<float>*> outs;
+  std::vector<const WilsonField<float>*> ins;
+  for (int r = 0; r < width; ++r) {
+    outs.push_back(&out[static_cast<std::size_t>(r)]);
+    ins.push_back(&in[static_cast<std::size_t>(r)]);
+  }
+  for (auto _ : state) {
+    wilson_hop_multi(outs, u, ins, *f.nt);
+    benchmark::DoNotOptimize(out[0].sites().data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["Mflops"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * width *
+          kWilsonDslashFlopsPerSite * static_cast<double>(f.g.volume()) /
+          1e6,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_WilsonHopMulti)
+    ->Arg(1)
+    ->Arg(4)
+    ->Arg(5)
+    ->Arg(8)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // The flops-for-bandwidth trade executed: the same hop kernel fed from a
 // reconstruct-N gauge field (arg = 18 / 12 / 8).  `gauge_bytes_per_site` is
@@ -166,7 +212,7 @@ void BM_WilsonHopRecon(benchmark::State& state) {
   Counter& meter = gauge_bytes_counter(scheme);
   const std::uint64_t before = meter.value();
   for (auto _ : state) {
-    wilson_hop(f.out, cu, f.in);
+    wilson_hop(f.out, cu, f.in, *f.nt);
     benchmark::DoNotOptimize(f.out.sites().data());
   }
   const double sites =
@@ -246,7 +292,7 @@ void BM_WilsonHopReconHalf(benchmark::State& state) {
   const auto scheme = static_cast<Reconstruct>(state.range(0));
   const CompressedGaugeField<double> cu(f.u, scheme, /*half_storage=*/true);
   for (auto _ : state) {
-    wilson_hop(f.out, cu, f.in);
+    wilson_hop(f.out, cu, f.in, *f.nt);
     benchmark::DoNotOptimize(f.out.sites().data());
   }
   state.SetLabel(std::string("recon") + to_string(scheme) + "/half");
@@ -294,26 +340,6 @@ void BM_StaggeredHop(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_StaggeredHop)->Unit(benchmark::kMillisecond);
-
-void BM_StaggeredHopSoA(benchmark::State& state) {
-  const LatticeGeometry g({8, 8, 8, 8});
-  const GaugeField<double> u = hot_gauge(g, 3);
-  const AsqtadLinks links = build_asqtad_links(u);
-  const StaggeredField<double> in = gaussian_staggered_source(g, 4);
-  const SoAGaugeField<double> fat(links.fat, Reconstruct::None);
-  const SoAGaugeField<double> lng(links.lng, Reconstruct::None);
-  SoAStaggeredField<double> sin(g), sout(g);
-  to_soa(in, sin);
-  for (auto _ : state) {
-    staggered_hop_soa(sout, fat, lng, sin);
-    benchmark::DoNotOptimize(sout.raw().data());
-  }
-  state.counters["Mflops"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * kStaggeredDslashFlopsPerSite *
-          static_cast<double>(g.volume()) / 1e6,
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_StaggeredHopSoA)->Unit(benchmark::kMillisecond);
 
 // (M^dag M)_ee on an L^4 lattice (arg0 = L).  The site loops run on the
 // worker pool, so the time is wall-clock (real_time).
@@ -476,7 +502,7 @@ void BM_DirichletWilsonHop(benchmark::State& state) {
   WilsonFixture f;
   BlockMask mask(f.g, {1, 1, 2, 2});
   for (auto _ : state) {
-    wilson_hop(f.out, f.u, f.in, std::nullopt, &mask);
+    wilson_hop(f.out, f.u, f.in, *f.nt, std::nullopt, &mask);
     benchmark::DoNotOptimize(f.out.sites().data());
   }
 }

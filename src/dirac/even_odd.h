@@ -44,9 +44,7 @@ class WilsonCloverSchurOperator : public LinearOperator<WilsonField<Real>> {
                             const LinkCut* mask = nullptr,
                             Reconstruct recon = Reconstruct::None)
       : u_(&u), mass_(mass), mask_(mask),
-        nt_(mask == nullptr ? shared_local_neighbors(u.geometry(), 1)
-                            : nullptr),
-        tmp_(u.geometry()),
+        nt_(shared_local_neighbors(u.geometry(), 1)), tmp_(u.geometry()),
         diag_(std::make_shared<CloverField<Real>>(u.geometry())),
         inv_diag_(std::make_shared<CloverField<Real>>(u.geometry())) {
     const Real d = static_cast<Real>(4.0 + mass);
@@ -106,7 +104,7 @@ class WilsonCloverSchurOperator : public LinearOperator<WilsonField<Real>> {
     const std::int64_t h = geometry().half_volume();
     with_gauge(recon_, [&](const auto& ug) {
       // tmp_o = D_oe in_e (all RHS per link load)
-      wilson_hop_multi(tmps, ug, ins, Parity::Odd);
+      wilson_hop_multi(tmps, ug, ins, *nt_, Parity::Odd);
       // tmp_o <- A_oo^{-1} tmp_o; like the hops, the clover site block
       // (2x 6x6 Hermitian — heavier than a gauge link) is loaded once and
       // applied to every RHS.  Each iteration writes only its own site.
@@ -120,7 +118,7 @@ class WilsonCloverSchurOperator : public LinearOperator<WilsonField<Real>> {
         }
       });
       // out_e = D_eo tmp_o
-      wilson_hop_multi(outs, ug, ctmps, Parity::Even);
+      wilson_hop_multi(outs, ug, ctmps, *nt_, Parity::Even);
       // out_e = A_ee in_e - 1/4 out_e (again one clover load per site)
       parallel_for(h, [&](std::int64_t s) {
         const CloverSite<Real>& cs = diag_->at(s);
@@ -148,7 +146,7 @@ class WilsonCloverSchurOperator : public LinearOperator<WilsonField<Real>> {
     });
     b_hat.set_zero();
     with_gauge(recon_, [&](const auto& ug) {
-      wilson_hop(b_hat, ug, tmp_, Parity::Even, mask_);
+      wilson_hop(b_hat, ug, tmp_, *nt_, Parity::Even, mask_);
     });
     const LatticeGeometry& g = geometry();
     for (std::int64_t s = 0; s < g.half_volume(); ++s) {
@@ -165,7 +163,7 @@ class WilsonCloverSchurOperator : public LinearOperator<WilsonField<Real>> {
     const LatticeGeometry& g = geometry();
     tmp_.set_zero();
     with_gauge(recon_, [&](const auto& ug) {
-      wilson_hop(tmp_, ug, x, Parity::Odd, mask_);
+      wilson_hop(tmp_, ug, x, *nt_, Parity::Odd, mask_);
     });
     for (std::int64_t s = g.half_volume(); s < g.volume(); ++s) {
       WilsonSpinor<Real> v = tmp_.at(s);
@@ -188,14 +186,14 @@ class WilsonCloverSchurOperator : public LinearOperator<WilsonField<Real>> {
     const LatticeGeometry& g = geometry();
     // tmp_o = D_oe in_e
     tmp_.set_zero();
-    wilson_hop(tmp_, ug, in, Parity::Odd, mask_);
+    wilson_hop(tmp_, ug, in, *nt_, Parity::Odd, mask_);
     // tmp_o <- A_oo^{-1} tmp_o
     for_parity(tmp_, Parity::Odd, [&](std::int64_t s, WilsonSpinor<Real>& v) {
       v = clover_apply(inv_diag_->at(s), v);
     });
     // out_e = D_eo tmp_o
     out.set_zero();
-    wilson_hop(out, ug, tmp_, Parity::Even, mask_);
+    wilson_hop(out, ug, tmp_, *nt_, Parity::Even, mask_);
     // out_e = A_ee in_e - 1/4 out_e
     for (std::int64_t s = 0; s < g.half_volume(); ++s) {
       WilsonSpinor<Real> v = clover_apply(diag_->at(s), in.at(s));
@@ -239,8 +237,9 @@ class WilsonCloverSchurOperator : public LinearOperator<WilsonField<Real>> {
   const GaugeField<Real>* u_;
   double mass_;
   const LinkCut* mask_;
-  /// The neighbour table apply_multi's hops read, held so that the shared
-  /// table (wilson_hop_multi) is built once per operator, not per call.
+  /// The neighbour table every hop reads (the mask, if any, drops legs on
+  /// top of it), held so that the shared table is built once per operator,
+  /// not per call.
   std::shared_ptr<const NeighborTable> nt_;
   mutable WilsonField<Real> tmp_;
   mutable std::vector<WilsonField<Real>> tmp_multi_;  // apply_multi scratch

@@ -32,13 +32,16 @@
 /// This is one of two orthogonal SIMD axes in the repo.  The SoA layout
 /// (fields/soa_field.h, dirac/soa_kernel.h, DESIGN.md §16) vectorizes
 /// *across sites* of a single field; the kernels here vectorize *across
-/// right-hand sides* at a fixed site.  The batched path stays AoS by
-/// design: its lanes are already full of independent work at every site,
-/// so a site-blocked layout would add transmute traffic without widening
+/// right-hand sides* at a fixed site.  Both run the same lane family
+/// (CplxLanes, linalg/simd.h) and the same lane leg
+/// (detail::lane_wilson_leg, dirac/wilson_kernel.h); they differ only in
+/// how a leg reads a link entry.  The batched path stays AoS by design:
+/// its lanes are already full of independent work at every site, so a
+/// site-blocked layout would add transmute traffic without widening
 /// anything, and keeping the RHS containers AoS lets the service accept
-/// and return caller-owned fields with no layout round trip.  Width-1
-/// batches fall back to the single-RHS operators, where LQCD_LAYOUT
-/// selects the SoA fast path.
+/// and return caller-owned fields with no layout round trip.
+/// wilson_hop_multi runs at every width, width 1 included (one scalar
+/// RHS); LQCD_LAYOUT reaches only WilsonCloverOperator.
 
 #include <algorithm>
 #include <memory>
@@ -50,9 +53,11 @@
 #include "dirac/dslash_tune.h"
 #include "dirac/operator.h"
 #include "dirac/recon_policy.h"
+#include "dirac/wilson_kernel.h"
 #include "fields/lattice_field.h"
 #include "lattice/neighbor_table.h"
 #include "linalg/gamma.h"
+#include "linalg/simd.h"
 #include "tune/site_loop.h"
 
 namespace lqcd {
@@ -126,8 +131,7 @@ inline std::string multi_rhs_aux(std::string aux, int width) {
   return aux;
 }
 
-#if defined(__GNUC__) || defined(__clang__)
-#define LQCD_MULTI_RHS_SIMD 1
+#ifdef LQCD_SOA_SIMD
 
 // ---------------------------------------------------------------------------
 // Lane-batched (SIMD-across-RHS) float path.
@@ -136,151 +140,65 @@ inline std::string multi_rhs_aux(std::string aux, int width) {
 // link *loads* across the batch caps out well below the link-amortization
 // model: the per-RHS projection / SU(3) mat-vec / reconstruction arithmetic
 // dominates.  The lane path cuts that arithmetic itself: four RHS ride the
-// four lanes of a 128-bit float vector, the shared gauge-link entry is
-// broadcast, and every complex operation is one vertical instruction.
-//
-// Bitwise contract: a vertical SIMD op applies the *same* IEEE operation to
-// each lane independently, so as long as the lane code performs the scalar
-// kernel's operation sequence step for step — and it mirrors project(),
-// operator*(Matrix3, ColorVector), adj_mul(), accumulate_reconstruct()
-// literally below — every lane's result is bit-identical to the single-RHS
-// kernel.  Two scalar details matter: unary minus and conj are IEEE
-// sign-bit flips (exact), and the scalar kernel writes its complex
-// products out with cmul/cmul_conj (linalg/types.h) as (ac - bd,
-// ad + bc), the sequence cv_mul_acc performs per lane, so the two paths
-// agree for every finite input.  The build keeps the default SSE2
-// baseline — no FMA contraction on either path.  tests/test_serve.cpp
-// asserts the per-RHS identity end to end.
+// four lanes of a 128-bit float vector (CplxLanes<float, 4>,
+// linalg/simd.h), the shared gauge-link entry is broadcast, and each leg
+// is detail::lane_wilson_leg, the lane form of the scalar site body.  Its
+// vertical ops apply the scalar body's IEEE sequence to each lane (see
+// linalg/simd.h, "Bitwise contract"), so every lane's result is
+// bit-identical to the single-RHS kernel; tests/test_serve.cpp asserts
+// the per-RHS identity end to end.
 // ---------------------------------------------------------------------------
 
-/// Four float lanes: one value across four RHS.
-typedef float V4f __attribute__((vector_size(16)));
-
-/// A complex number per lane, split re/im.
-struct CplxV4 {
-  V4f re, im;
-};
-
-inline CplxV4 cv_zero() { return CplxV4{V4f{0, 0, 0, 0}, V4f{0, 0, 0, 0}}; }
-
-/// Lane-wise complex add/sub (elementwise IEEE add/sub, as std::complex's).
-inline CplxV4 cv_add(const CplxV4& a, const CplxV4& b) {
-  return CplxV4{a.re + b.re, a.im + b.im};
-}
-inline CplxV4 cv_sub(const CplxV4& a, const CplxV4& b) {
-  return CplxV4{a.re - b.re, a.im - b.im};
-}
-
-/// i^p per lane: swaps and sign flips only, mirroring mul_i_pow().
-inline CplxV4 cv_mul_i_pow(int p, const CplxV4& z) {
-  switch (p & 3) {
-    case 0: return z;
-    case 1: return CplxV4{-z.im, z.re};
-    case 2: return CplxV4{-z.re, -z.im};
-    default: return CplxV4{z.im, -z.re};
-  }
-}
-
-/// One complex scalar broadcast across lanes (a gauge-link entry — the same
-/// link serves every RHS, which is the point of the batch).
-struct CplxB4 {
-  V4f re, im;
-};
-inline CplxB4 cv_bcast(const Cplx<float>& z) {
-  const float r = z.real();
-  const float i = z.imag();
-  return CplxB4{V4f{r, r, r, r}, V4f{i, i, i, i}};
-}
-
-/// acc += a * b with the complex fast-path formula (ac - bd, ad + bc),
-/// the exact sequence the scalar `s += u(i,j) * v[j]` performs per lane.
-inline void cv_mul_acc(CplxV4& acc, const CplxB4& a, const CplxV4& b) {
-  acc.re += a.re * b.re - a.im * b.im;
-  acc.im += a.re * b.im + a.im * b.re;
-}
-
-/// Transposes the four RHS spinors at one site into lane vectors.
-inline void gather4(CplxV4 psi[kNSpin][kNColor],
-                    const WilsonSpinor<float>* const* in, std::int64_t site) {
+/// Transposes the four RHS spinors at one site into lane form.
+inline void gather_rhs_lanes(CplxLanes<float, 4> psi[kNSpin][kNColor],
+                             const WilsonSpinor<float>* const* in,
+                             std::int64_t site) {
   const WilsonSpinor<float>& p0 = in[0][site];
   const WilsonSpinor<float>& p1 = in[1][site];
   const WilsonSpinor<float>& p2 = in[2][site];
   const WilsonSpinor<float>& p3 = in[3][site];
   for (int a = 0; a < kNSpin; ++a) {
     for (int c = 0; c < kNColor; ++c) {
-      psi[a][c].re = V4f{p0[a][c].real(), p1[a][c].real(), p2[a][c].real(),
-                         p3[a][c].real()};
-      psi[a][c].im = V4f{p0[a][c].imag(), p1[a][c].imag(), p2[a][c].imag(),
-                         p3[a][c].imag()};
+      psi[a][c].re = LaneVec<float, 4>{p0[a][c].real(), p1[a][c].real(),
+                                       p2[a][c].real(), p3[a][c].real()};
+      psi[a][c].im = LaneVec<float, 4>{p0[a][c].imag(), p1[a][c].imag(),
+                                       p2[a][c].imag(), p3[a][c].imag()};
     }
   }
 }
 
-/// One hop leg (project -> color mat-vec -> reconstruct) for four lanes,
-/// following project()/adj_mul()/accumulate_reconstruct() step for step.
-inline void hop_leg4(const Matrix3<float>& link, int mu, int sign,
-                     bool adjoint, const CplxV4 psi[kNSpin][kNColor],
-                     CplxV4 acc[kNSpin][kNColor]) {
-  const GammaPattern& gp = kGamma[static_cast<std::size_t>(mu)];
-  // project(): h[a][c] = psi[a][c] +- i^phase[a] psi[col[a]][c].  The
-  // scalar `x + (-t)` is IEEE-identical to `x - t`.
-  CplxV4 h[2][kNColor];
-  for (int a = 0; a < 2; ++a) {
-    const auto aa = static_cast<std::size_t>(a);
-    for (int c = 0; c < kNColor; ++c) {
-      const CplxV4 t = cv_mul_i_pow(gp.phase[aa], psi[gp.col[aa]][c]);
-      h[a][c] = sign > 0 ? cv_add(psi[a][c], t) : cv_sub(psi[a][c], t);
-    }
+/// A link's entries broadcast across the RHS lanes: one link serves every
+/// RHS, which is the point of the batch.
+struct BroadcastLink {
+  const Matrix3<float>& m;
+  CplxLanes<float, 4> operator()(int i, int j) const {
+    const Cplx<float> z = m(i, j);
+    return CplxLanes<float, 4>{lane_broadcast<float, 4>(z.real()),
+                               lane_broadcast<float, 4>(z.imag())};
   }
-  // t[a][i] = sum_j L(i,j) h[a][j] (or conj(L(j,i)) for the adjoint),
-  // accumulating from zero in j order exactly as the scalar mat-vec does.
-  CplxV4 t[2][kNColor];
-  for (int i = 0; i < kNColor; ++i) {
-    CplxB4 row[kNColor];
-    for (int j = 0; j < kNColor; ++j) {
-      row[j] = cv_bcast(adjoint ? std::conj(link(j, i)) : link(i, j));
-    }
-    for (int a = 0; a < 2; ++a) {
-      CplxV4 sum = cv_zero();
-      for (int j = 0; j < kNColor; ++j) cv_mul_acc(sum, row[j], h[a][j]);
-      t[a][i] = sum;
-    }
-  }
-  // accumulate_reconstruct(): out[a] += t[a]; out[col[a]] +-= conj-phase t.
-  for (int a = 0; a < 2; ++a) {
-    const auto aa = static_cast<std::size_t>(a);
-    const int c_row = gp.col[aa];
-    const int conj_phase = (4 - gp.phase[aa]) & 3;
-    for (int c = 0; c < kNColor; ++c) {
-      acc[a][c] = cv_add(acc[a][c], t[a][c]);
-      const CplxV4 v = cv_mul_i_pow(conj_phase, t[a][c]);
-      acc[c_row][c] =
-          sign > 0 ? cv_add(acc[c_row][c], v) : cv_sub(acc[c_row][c], v);
-    }
-  }
-}
+};
 
-/// The full Wilson hop at one site for four RHS lanes.
+/// wilson_site_hop at one site for four RHS lanes.
 template <typename Gauge>
-inline void wilson_site_hop4(WilsonSpinor<float>* const* out,
-                             const WilsonSpinor<float>* const* in,
-                             const Gauge& u, std::int64_t s,
-                             const std::int64_t* sp, const std::int64_t* sm) {
-  CplxV4 acc[kNSpin][kNColor];
-  for (int a = 0; a < kNSpin; ++a) {
-    for (int c = 0; c < kNColor; ++c) acc[a][c] = cv_zero();
-  }
-  CplxV4 psi[kNSpin][kNColor];
+inline void wilson_site_hop_lanes(WilsonSpinor<float>* const* out,
+                                  const WilsonSpinor<float>* const* in,
+                                  const Gauge& u, std::int64_t s,
+                                  const std::int64_t* sp,
+                                  const std::int64_t* sm) {
+  CplxLanes<float, 4> acc[kNSpin][kNColor] = {};
+  CplxLanes<float, 4> psi[kNSpin][kNColor];
   for (int mu = 0; mu < kNDim; ++mu) {
     if (sp[mu] >= 0) {
       const Matrix3<float>& link = u.link(mu, s);
-      gather4(psi, in, sp[mu]);
-      hop_leg4(link, mu, -1, /*adjoint=*/false, psi, acc);
+      gather_rhs_lanes(psi, in, sp[mu]);
+      lane_wilson_leg<float, 4>(BroadcastLink{link}, mu, -1,
+                                /*adjoint=*/false, psi, acc);
     }
     if (sm[mu] >= 0) {
       const Matrix3<float>& link = u.link(mu, sm[mu]);
-      gather4(psi, in, sm[mu]);
-      hop_leg4(link, mu, +1, /*adjoint=*/true, psi, acc);
+      gather_rhs_lanes(psi, in, sm[mu]);
+      lane_wilson_leg<float, 4>(BroadcastLink{link}, mu, +1,
+                                /*adjoint=*/true, psi, acc);
     }
   }
   for (int l = 0; l < 4; ++l) {
@@ -293,16 +211,15 @@ inline void wilson_site_hop4(WilsonSpinor<float>* const* out,
   }
 }
 
-#endif  // LQCD_MULTI_RHS_SIMD
+#endif  // LQCD_SOA_SIMD
 
-/// The Wilson hop at site \p s for w <= kMaxMultiRhs RHS: out[r][s] =
+/// wilson_site_hop at site \p s for w <= kMaxMultiRhs RHS: out[r][s] =
 /// D in[r] at s over the legs whose neighbour index is set (-1 drops a
-/// leg: the Dirichlet cut of a block hop).  The neighbour indices and the
-/// links are resolved once and shared by every RHS.  Float batches run
-/// four RHS per SIMD lane group; the tail lanes (w % 4), non-float reals
-/// and non-GNU builds run the scalar path, whose per-RHS operation order
-/// is the single-RHS kernel's.  The one batched Wilson site body: the
-/// whole-lattice hop below and PartitionedWilsonClover's block hop both
+/// leg: the Dirichlet cut of a block hop).  The neighbour indices are
+/// resolved once and shared by every RHS.  Float batches run four RHS per
+/// SIMD lane group; the tail lanes (w % 4), non-float reals and builds
+/// without vector extensions run the scalar body per RHS.  The whole-
+/// lattice hop below and PartitionedWilsonClover's batched block hop both
 /// call it.
 template <typename Real, typename Gauge>
 inline void wilson_site_hop_multi(WilsonSpinor<Real>* const* out,
@@ -311,30 +228,15 @@ inline void wilson_site_hop_multi(WilsonSpinor<Real>* const* out,
                                   const std::int64_t* sp,
                                   const std::int64_t* sm) {
   int r0 = 0;
-#ifdef LQCD_MULTI_RHS_SIMD
+#ifdef LQCD_SOA_SIMD
   if constexpr (std::is_same_v<Real, float>) {
     for (; r0 + 4 <= w; r0 += 4) {
-      wilson_site_hop4(out + r0, in + r0, u, s, sp, sm);
+      wilson_site_hop_lanes(out + r0, in + r0, u, s, sp, sm);
     }
   }
 #endif
   for (int r = r0; r < w; ++r) {
-    WilsonSpinor<Real> acc{};
-    for (int mu = 0; mu < kNDim; ++mu) {
-      if (sp[mu] >= 0) {
-        const auto& link = u.link(mu, s);
-        const HalfSpinor<Real> h = project(mu, -1, in[r][sp[mu]]);
-        const HalfSpinor<Real> t = link * h;
-        accumulate_reconstruct(mu, -1, t, acc);
-      }
-      if (sm[mu] >= 0) {
-        const auto& link = u.link(mu, sm[mu]);
-        const HalfSpinor<Real> h = project(mu, +1, in[r][sm[mu]]);
-        const HalfSpinor<Real> t = adj_mul(link, h);
-        accumulate_reconstruct(mu, +1, t, acc);
-      }
-    }
-    out[r][s] = acc;
+    out[r][s] = wilson_site_hop<Real>(u, in[r], s, sp, sm);
   }
 }
 
@@ -371,14 +273,9 @@ void wilson_hop_multi_group(const std::vector<WilsonField<Real>*>& outs,
       multi_rhs_aux(dslash_aux<Real>(target, false, gauge_recon(u)), w),
       outs[base]->sites(), end - begin, [&](std::int64_t idx) {
     const std::int64_t s = begin + idx;
-    // Every entry of the unpartitioned table is local: the neighbours
-    // wrap around, as in wilson_hop.
     std::int64_t sp[kNDim];
     std::int64_t sm[kNDim];
-    for (int mu = 0; mu < kNDim; ++mu) {
-      sp[mu] = nt.neighbor(s, mu, +1, 1).index;
-      sm[mu] = nt.neighbor(s, mu, -1, 1).index;
-    }
+    wilson_neighbors(nt, s, nullptr, sp, sm);
     wilson_site_hop_multi(out, in, w, u, s, sp, sm);
   });
   // Links are loaded once per site for the whole group.
@@ -389,22 +286,32 @@ void wilson_hop_multi_group(const std::vector<WilsonField<Real>*>& outs,
 }  // namespace detail
 
 /// outs[r](x) = D ins[r](x) for the selected target sites — the multi-RHS
-/// twin of wilson_hop, with wraparound neighbours read from the shared
-/// table of the lattice's extents (shared_local_neighbors).  Batches wider
-/// than kMaxMultiRhs run in groups.
+/// twin of wilson_hop, with wraparound neighbours read from \p nt (the
+/// unpartitioned table of the lattice's extents).  Batches wider than
+/// kMaxMultiRhs run in groups.
+template <typename Real, typename Gauge>
+void wilson_hop_multi(const std::vector<WilsonField<Real>*>& outs,
+                      const Gauge& u,
+                      const std::vector<const WilsonField<Real>*>& ins,
+                      const NeighborTable& nt,
+                      std::optional<Parity> target = std::nullopt) {
+  for (std::size_t base = 0; base < ins.size(); base += kMaxMultiRhs) {
+    const int w = static_cast<int>(
+        std::min<std::size_t>(kMaxMultiRhs, ins.size() - base));
+    detail::wilson_hop_multi_group(outs, u, ins, nt, base, w, target);
+  }
+}
+
+/// wilson_hop_multi with the shared table of the lattice's extents
+/// (shared_local_neighbors; see the matching wilson_hop overload).
 template <typename Real, typename Gauge>
 void wilson_hop_multi(const std::vector<WilsonField<Real>*>& outs,
                       const Gauge& u,
                       const std::vector<const WilsonField<Real>*>& ins,
                       std::optional<Parity> target = std::nullopt) {
   if (ins.empty()) return;
-  const std::shared_ptr<const NeighborTable> nt =
-      shared_local_neighbors(ins[0]->geometry(), 1);
-  for (std::size_t base = 0; base < ins.size(); base += kMaxMultiRhs) {
-    const int w = static_cast<int>(
-        std::min<std::size_t>(kMaxMultiRhs, ins.size() - base));
-    detail::wilson_hop_multi_group(outs, u, ins, *nt, base, w, target);
-  }
+  wilson_hop_multi(outs, u, ins,
+                   *shared_local_neighbors(ins[0]->geometry(), 1), target);
 }
 
 }  // namespace lqcd

@@ -24,7 +24,10 @@
 /// flight*, then wait for the ghosts and run the exterior kernels.  The
 /// measured per-rank phase times are accumulated in OverlapStats.  Under
 /// `seq` the ranks execute one after another through the reference
-/// exchange; both modes are bitwise identical (asserted in tests).
+/// exchange; both modes are bitwise identical (asserted in tests).  The
+/// Wilson and staggered operators run this schedule through one driver,
+/// detail::run_partitioned, and the Wilson interior is the one Wilson site
+/// body (dirac/wilson_kernel.h) with ghost entries as dropped legs.
 
 #include <algorithm>
 #include <memory>
@@ -110,6 +113,111 @@ inline void accumulate(OverlapStats& stats,
     m_samples.add(1);
   }
 }
+
+/// Per-rank staging of a partitioned operator: each rank's scattered
+/// source and local result, its spinor ghost zones, and the operator's
+/// traffic and overlap meters.
+template <typename Site, typename Ghost>
+struct RankStaging {
+  std::vector<LatticeField<Site>> in;
+  std::vector<LatticeField<Site>> out;
+  std::vector<GhostZones<Ghost>> ghosts;
+  PartitionedTraffic traffic;
+  OverlapStats overlap;
+};
+
+/// The partitioned apply of §6.2, shared by the Wilson and staggered
+/// operators: scatter \p in to the ranks, evaluate the stencil as
+/// `interior(r)` plus one `exterior(r, mu)` per partitioned dimension, and
+/// gather the rank results into \p out.  Faces carry \p source parity
+/// sites only, when set, packed by \p Packer and sent in \p wire format.
+///
+/// Under `threads` every rank runs as a task through the Fig. 4 schedule:
+/// post its faces, compute the interior while the messages are in flight,
+/// wait for the ghosts, then apply the exterior kernels in fixed mu order
+/// (the corner-site dependency is rank-local, so ranks never need a
+/// barrier between phases); each rank's phase times land in
+/// `st.overlap`.  Under `seq`, or inside a rank task, the reference
+/// exchange runs first, then every interior, then the exteriors dimension
+/// by dimension.  Both orders write the same bits.  With \p comms off
+/// only the interiors run: the Dirichlet-cut operator.
+template <typename Packer, typename Site, typename Interior,
+          typename Exterior>
+void run_partitioned(const DomainMap& map, const NeighborTable& nt,
+                     bool comms, std::optional<Parity> source,
+                     WireFormat wire,
+                     RankStaging<Site, typename Packer::ghost_type>& st,
+                     LatticeField<Site>& out, const LatticeField<Site>& in,
+                     const Interior& interior, const Exterior& exterior) {
+  const Partitioning& part = map.partitioning();
+  const int nr = part.num_ranks();
+  st.traffic.applications += 1;
+  map.scatter(in, st.in);
+  if (st.out.size() != st.in.size()) {
+    st.out.assign(st.in.size(), LatticeField<Site>(part.local()));
+  }
+  if (rank_mode() == RankMode::Threads && !in_rank_task()) {
+    std::vector<OverlapSample> samples(static_cast<std::size_t>(nr));
+    if (comms) {
+      AsyncGhostExchange<Packer, Site> ex(part, nt, st.in, st.ghosts, source,
+                                         wire);
+      run_ranks(nr, [&](int r) {
+        auto& sample = samples[static_cast<std::size_t>(r)];
+        Stopwatch sw;
+        {
+          ScopedSpan span("dslash.post");
+          ex.post_sends(r);
+        }
+        sample.post_s = sw.seconds();
+        {
+          ScopedSpan span("dslash.interior");
+          interior(r);
+        }
+        sample.interior_s = sw.seconds() - sample.post_s;
+        {
+          ScopedSpan span("dslash.wait");
+          ex.wait_all(r);
+        }
+        sample.wait_s = sw.seconds() - sample.post_s - sample.interior_s;
+        {
+          ScopedSpan span("dslash.exterior");
+          for (int mu = 0; mu < kNDim; ++mu) {
+            if (part.partitioned(mu)) exterior(r, mu);
+          }
+        }
+        sample.exterior_s =
+            sw.seconds() - sample.post_s - sample.interior_s - sample.wait_s;
+      });
+      const ExchangeCounters delta = ex.total_sent();
+      st.traffic.spinor += delta;
+      account_exchange(delta);
+    } else {
+      run_ranks(nr, [&](int r) {
+        Stopwatch sw;
+        ScopedSpan span("dslash.interior");
+        interior(r);
+        samples[static_cast<std::size_t>(r)].interior_s = sw.seconds();
+      });
+    }
+    accumulate(st.overlap, samples);
+  } else {
+    if (comms) {
+      ScopedSpan span("dslash.exchange");
+      exchange_ghosts<Packer>(part, nt, st.in, st.ghosts, &st.traffic.spinor,
+                              source, wire);
+    }
+    for (int r = 0; r < nr; ++r) interior(r);
+    if (comms) {
+      // Exterior kernels run per dimension, sequentially, matching the
+      // data dependency on corner sites described in §6.2.
+      for (int mu = 0; mu < kNDim; ++mu) {
+        if (!part.partitioned(mu)) continue;
+        for (int r = 0; r < nr; ++r) exterior(r, mu);
+      }
+    }
+  }
+  map.gather(st.out, out);
+}
 }  // namespace detail
 
 /// Partitioned Wilson-clover operator M = (4 + m + A) - D/2.
@@ -158,13 +266,13 @@ class PartitionedWilsonClover : public LinearOperator<WilsonField<Real>> {
       gauge_ghosts_.assign(static_cast<std::size_t>(part.num_ranks()),
                            GhostZones<Matrix3<Real>>(nt_));
       exchange_gauge_ghosts(part_, nt_, u_local_, gauge_ghosts_,
-                            &traffic_.gauge);
-      in_local_.assign(static_cast<std::size_t>(part.num_ranks()),
-                       WilsonField<Real>(part.local()));
-      out_local_.assign(static_cast<std::size_t>(part.num_ranks()),
-                        WilsonField<Real>(part.local()));
-      spinor_ghosts_.assign(static_cast<std::size_t>(part.num_ranks()),
-                            GhostZones<HalfSpinor<Real>>(nt_));
+                            &st_.traffic.gauge);
+      st_.in.assign(static_cast<std::size_t>(part.num_ranks()),
+                    WilsonField<Real>(part.local()));
+      st_.out.assign(static_cast<std::size_t>(part.num_ranks()),
+                     WilsonField<Real>(part.local()));
+      st_.ghosts.assign(static_cast<std::size_t>(part.num_ranks()),
+                        GhostZones<HalfSpinor<Real>>(nt_));
     }
     // Nominal local link loads per full-volume interior pass: 8 per site
     // minus the two missing hops per face site of each partitioned dim.
@@ -290,12 +398,7 @@ class PartitionedWilsonClover : public LinearOperator<WilsonField<Real>> {
           // A ghost entry is a cut leg.
           std::int64_t sp[kNDim];
           std::int64_t sm[kNDim];
-          for (int mu = 0; mu < kNDim; ++mu) {
-            const auto fwd = nt_.neighbor(s, mu, +1, 1);
-            sp[mu] = fwd.local() ? fwd.index : -1;
-            const auto bwd = nt_.neighbor(s, mu, -1, 1);
-            sm[mu] = bwd.local() ? bwd.index : -1;
-          }
+          detail::wilson_neighbors(nt_, s, nullptr, sp, sm);
           detail::wilson_site_hop_multi(out, in, w, u, s, sp, sm);
         });
         // Links are loaded once per site for the whole group.
@@ -308,92 +411,12 @@ class PartitionedWilsonClover : public LinearOperator<WilsonField<Real>> {
  private:
   void run(WilsonField<Real>& out, const WilsonField<Real>& in,
            std::optional<Parity> target, bool hop_only) const {
-    traffic_.applications += 1;
-    map_.scatter(in, in_local_);
-    if (out_local_.size() != in_local_.size()) {
-      out_local_.assign(in_local_.size(), WilsonField<Real>(part_.local()));
-    }
     std::optional<Parity> source;
     if (target.has_value()) source = opposite(*target);
-    if (rank_mode() == RankMode::Threads && !in_rank_task()) {
-      run_overlapped(target, hop_only, source);
-    } else {
-      if (comms_) {
-        ScopedSpan span("dslash.exchange");
-        exchange_ghosts<WilsonProjectPacker<Real>>(part_, nt_, in_local_,
-                                                   spinor_ghosts_,
-                                                   &traffic_.spinor, source,
-                                                   ghost_wire_);
-      }
-      for (int r = 0; r < part_.num_ranks(); ++r) {
-        interior_kernel(r, target, hop_only);
-      }
-      if (comms_) {
-        // Exterior kernels run per dimension, sequentially, matching the
-        // data dependency on corner sites described in §6.2.
-        for (int mu = 0; mu < kNDim; ++mu) {
-          if (!part_.partitioned(mu)) continue;
-          for (int r = 0; r < part_.num_ranks(); ++r) {
-            exterior_kernel(r, mu, target, hop_only);
-          }
-        }
-      }
-    }
-    map_.gather(out_local_, out);
-  }
-
-  /// The executed Fig. 4 schedule: concurrent rank tasks, each gathering
-  /// and posting its faces, computing the interior while the messages are
-  /// in flight, then waiting and applying the exterior kernels (per
-  /// dimension, in fixed mu order — the §6.2 corner-site dependency is
-  /// rank-local, so ranks never need a barrier between phases).
-  void run_overlapped(std::optional<Parity> target, bool hop_only,
-                      std::optional<Parity> source) const {
-    const int nr = part_.num_ranks();
-    std::vector<detail::OverlapSample> samples(static_cast<std::size_t>(nr));
-    if (comms_) {
-      AsyncGhostExchange<WilsonProjectPacker<Real>, WilsonSpinor<Real>> ex(
-          part_, nt_, in_local_, spinor_ghosts_, source, ghost_wire_);
-      run_ranks(nr, [&](int r) {
-        auto& sample = samples[static_cast<std::size_t>(r)];
-        Stopwatch sw;
-        {
-          ScopedSpan span("dslash.post");
-          ex.post_sends(r);
-        }
-        sample.post_s = sw.seconds();
-        {
-          ScopedSpan span("dslash.interior");
-          interior_kernel(r, target, hop_only);
-        }
-        sample.interior_s = sw.seconds() - sample.post_s;
-        {
-          ScopedSpan span("dslash.wait");
-          ex.wait_all(r);
-        }
-        sample.wait_s = sw.seconds() - sample.post_s - sample.interior_s;
-        {
-          ScopedSpan span("dslash.exterior");
-          for (int mu = 0; mu < kNDim; ++mu) {
-            if (!part_.partitioned(mu)) continue;
-            exterior_kernel(r, mu, target, hop_only);
-          }
-        }
-        sample.exterior_s =
-            sw.seconds() - sample.post_s - sample.interior_s - sample.wait_s;
-      });
-      const ExchangeCounters delta = ex.total_sent();
-      traffic_.spinor += delta;
-      account_exchange(delta);
-    } else {
-      run_ranks(nr, [&](int r) {
-        Stopwatch sw;
-        ScopedSpan span("dslash.interior");
-        interior_kernel(r, target, hop_only);
-        samples[static_cast<std::size_t>(r)].interior_s = sw.seconds();
-      });
-    }
-    detail::accumulate(overlap_, samples);
+    detail::run_partitioned<WilsonProjectPacker<Real>>(
+        map_, nt_, comms_, source, ghost_wire_, st_, out, in,
+        [&](int r) { interior_kernel(r, target, hop_only); },
+        [&](int r, int mu) { exterior_kernel(r, mu, target, hop_only); });
   }
 
  public:
@@ -403,10 +426,10 @@ class PartitionedWilsonClover : public LinearOperator<WilsonField<Real>> {
   const Partitioning& partitioning() const { return part_; }
   /// Global <-> rank-local site maps of partitioning().
   const DomainMap& domain_map() const { return map_; }
-  const PartitionedTraffic& traffic() const { return traffic_; }
+  const PartitionedTraffic& traffic() const { return st_.traffic; }
   /// Phase times of the threaded path (empty when running seq).
-  const OverlapStats& overlap() const { return overlap_; }
-  void reset_overlap() const { overlap_.reset(); }
+  const OverlapStats& overlap() const { return st_.overlap; }
+  void reset_overlap() const { st_.overlap.reset(); }
   bool comms_enabled() const { return comms_; }
 
  private:
@@ -438,7 +461,7 @@ class PartitionedWilsonClover : public LinearOperator<WilsonField<Real>> {
   void interior_kernel(int r, std::optional<Parity> target,
                        bool hop_only) const {
     const auto i = static_cast<std::size_t>(r);
-    interior_kernel(r, in_local_[i], out_local_[i], target, hop_only);
+    interior_kernel(r, st_.in[i], st_.out[i], target, hop_only);
   }
 
   void interior_kernel(int r, const WilsonField<Real>& in,
@@ -465,7 +488,9 @@ class PartitionedWilsonClover : public LinearOperator<WilsonField<Real>> {
                      WilsonField<Real>& out, std::optional<Parity> target,
                      bool hop_only) const {
     const LatticeGeometry& local = part_.local();
-    const bool have_clover = !clover_local_.empty();
+    const CloverField<Real>* clover =
+        clover_local_.empty() ? nullptr
+                              : &clover_local_[static_cast<std::size_t>(r)];
     const Real diag = static_cast<Real>(4.0 + mass_);
     const std::int64_t begin =
         target.has_value() && *target == Parity::Odd ? local.half_volume()
@@ -479,6 +504,7 @@ class PartitionedWilsonClover : public LinearOperator<WilsonField<Real>> {
       const auto rest = out.parity_span(opposite(*target));
       std::fill(rest.begin(), rest.end(), WilsonSpinor<Real>{});
     }
+    const WilsonSpinor<Real>* psi = in.sites().data();
     // Sites are written independently; the loop granularity is autotuned
     // (shared across ranks: every rank has the same local volume, so rank 0
     // tunes and the rest hit the cache).
@@ -488,36 +514,18 @@ class PartitionedWilsonClover : public LinearOperator<WilsonField<Real>> {
         "wilson_part_interior", std::move(aux), out.sites(), end - begin,
         [&](std::int64_t idx) {
       const std::int64_t s = begin + idx;
-      WilsonSpinor<Real> hop{};
-      for (int mu = 0; mu < kNDim; ++mu) {
-        const auto fwd = nt_.neighbor(s, mu, +1, 1);
-        if (fwd.local()) {
-          const HalfSpinor<Real> h = project(mu, -1, in.at(fwd.index));
-          const auto& link = u.link(mu, s);
-          const HalfSpinor<Real> t = link * h;
-          accumulate_reconstruct(mu, -1, t, hop);
-        }
-        const auto bwd = nt_.neighbor(s, mu, -1, 1);
-        if (bwd.local()) {
-          const HalfSpinor<Real> h = project(mu, +1, in.at(bwd.index));
-          const auto& link = u.link(mu, bwd.index);
-          const HalfSpinor<Real> t = adj_mul(link, h);
-          accumulate_reconstruct(mu, +1, t, hop);
-        }
-      }
-      if (hop_only) {
-        out.at(s) = hop;
-        return;
-      }
-      WilsonSpinor<Real> v = in.at(s);
-      v *= diag;
-      if (have_clover) {
-        v += clover_apply(clover_local_[static_cast<std::size_t>(r)].at(s),
-                          in.at(s));
-      }
-      hop *= Real(-0.5);
-      v += hop;
-      out.at(s) = v;
+      // A ghost entry is a dropped leg: the exterior kernels add it, or,
+      // with comms off, it stays cut.
+      std::int64_t sp[kNDim];
+      std::int64_t sm[kNDim];
+      detail::wilson_neighbors(nt_, s, nullptr, sp, sm);
+      const WilsonSpinor<Real> hop =
+          detail::wilson_site_hop<Real>(u, psi, s, sp, sm);
+      out.at(s) = hop_only ? hop
+                           : detail::wilson_clover_site(
+                                 hop, psi[s],
+                                 clover != nullptr ? &clover->at(s) : nullptr,
+                                 diag);
     });
     // Nominal local-body link loads, parity-scaled when target is set.
     meter_gauge_bytes(gauge_recon(u),
@@ -533,8 +541,8 @@ class PartitionedWilsonClover : public LinearOperator<WilsonField<Real>> {
                      std::optional<Parity> target, bool hop_only) const {
     const LatticeGeometry& local = part_.local();
     const auto& gg = gauge_ghosts_[static_cast<std::size_t>(r)];
-    const auto& sg = spinor_ghosts_[static_cast<std::size_t>(r)];
-    auto& out = out_local_[static_cast<std::size_t>(r)];
+    const auto& sg = st_.ghosts[static_cast<std::size_t>(r)];
+    auto& out = st_.out[static_cast<std::size_t>(r)];
     const FaceIndexer& face = nt_.face(mu);
     const std::int64_t fv = face.face_volume();
     const int slices[2] = {0, local.dim(mu) - 1};
@@ -594,11 +602,7 @@ class PartitionedWilsonClover : public LinearOperator<WilsonField<Real>> {
   std::vector<CompressedGaugeField<Real>> u8_;
   std::vector<CloverField<Real>> clover_local_;
   std::vector<GhostZones<Matrix3<Real>>> gauge_ghosts_;
-  mutable std::vector<WilsonField<Real>> in_local_;
-  mutable std::vector<WilsonField<Real>> out_local_;
-  mutable std::vector<GhostZones<HalfSpinor<Real>>> spinor_ghosts_;
-  mutable PartitionedTraffic traffic_;
-  mutable OverlapStats overlap_;
+  mutable detail::RankStaging<WilsonSpinor<Real>, HalfSpinor<Real>> st_;
 };
 
 /// Partitioned improved staggered operator M = m + D/2 (fat + long links).
@@ -620,16 +624,16 @@ class PartitionedStaggered : public LinearOperator<StaggeredField<Real>> {
     // the stencil can touch.  Recon wire is pinned to None: fat/long
     // links are smeared *sums* of products, not SU(3) elements, so the
     // 12/8 unitarity-based schemes would reconstruct the wrong matrix.
-    exchange_gauge_ghosts(part_, nt_, fat_local_, fat_ghosts_, &traffic_.gauge,
-                          /*depth=*/1, Reconstruct::None);
-    exchange_gauge_ghosts(part_, nt_, lng_local_, lng_ghosts_, &traffic_.gauge,
-                          /*depth=*/3, Reconstruct::None);
-    in_local_.assign(static_cast<std::size_t>(part.num_ranks()),
-                     StaggeredField<Real>(part.local()));
-    out_local_.assign(static_cast<std::size_t>(part.num_ranks()),
-                      StaggeredField<Real>(part.local()));
-    spinor_ghosts_.assign(static_cast<std::size_t>(part.num_ranks()),
-                          GhostZones<ColorVector<Real>>(nt_));
+    exchange_gauge_ghosts(part_, nt_, fat_local_, fat_ghosts_,
+                          &st_.traffic.gauge, /*depth=*/1, Reconstruct::None);
+    exchange_gauge_ghosts(part_, nt_, lng_local_, lng_ghosts_,
+                          &st_.traffic.gauge, /*depth=*/3, Reconstruct::None);
+    st_.in.assign(static_cast<std::size_t>(part.num_ranks()),
+                  StaggeredField<Real>(part.local()));
+    st_.out.assign(static_cast<std::size_t>(part.num_ranks()),
+                   StaggeredField<Real>(part.local()));
+    st_.ghosts.assign(static_cast<std::size_t>(part.num_ranks()),
+                      GhostZones<ColorVector<Real>>(nt_));
     // Env-forced wire axes apply here too; the tuned policy sweep lives
     // on the Wilson hop only (the staggered ghost is already 4x smaller
     // per site), so `tune` leaves staggered spinor ghosts lossless.
@@ -646,85 +650,20 @@ class PartitionedStaggered : public LinearOperator<StaggeredField<Real>> {
   void apply(StaggeredField<Real>& out,
              const StaggeredField<Real>& in) const override {
     this->count_application();
-    traffic_.applications += 1;
-    map_.scatter(in, in_local_);
-    if (rank_mode() == RankMode::Threads && !in_rank_task()) {
-      run_overlapped();
-    } else {
-      if (comms_) {
-        ScopedSpan span("dslash.exchange");
-        exchange_ghosts<IdentityPacker<ColorVector<Real>>>(
-            part_, nt_, in_local_, spinor_ghosts_, &traffic_.spinor,
-            std::nullopt, ghost_wire_);
-      }
-      for (int r = 0; r < part_.num_ranks(); ++r) interior_kernel(r);
-      if (comms_) {
-        for (int mu = 0; mu < kNDim; ++mu) {
-          if (!part_.partitioned(mu)) continue;
-          for (int r = 0; r < part_.num_ranks(); ++r) exterior_kernel(r, mu);
-        }
-      }
-    }
-    map_.gather(out_local_, out);
+    detail::run_partitioned<IdentityPacker<ColorVector<Real>>>(
+        map_, nt_, comms_, std::nullopt, ghost_wire_, st_, out, in,
+        [&](int r) { interior_kernel(r); },
+        [&](int r, int mu) { exterior_kernel(r, mu); });
   }
 
   const LatticeGeometry& geometry() const override { return part_.global(); }
 
   const Partitioning& partitioning() const { return part_; }
-  const PartitionedTraffic& traffic() const { return traffic_; }
-  const OverlapStats& overlap() const { return overlap_; }
-  void reset_overlap() const { overlap_.reset(); }
+  const PartitionedTraffic& traffic() const { return st_.traffic; }
+  const OverlapStats& overlap() const { return st_.overlap; }
+  void reset_overlap() const { st_.overlap.reset(); }
 
  private:
-  /// Threaded rank tasks with the post/interior/wait/exterior overlap
-  /// order (see PartitionedWilsonClover::run_overlapped).
-  void run_overlapped() const {
-    const int nr = part_.num_ranks();
-    std::vector<detail::OverlapSample> samples(static_cast<std::size_t>(nr));
-    if (comms_) {
-      AsyncGhostExchange<IdentityPacker<ColorVector<Real>>, ColorVector<Real>>
-          ex(part_, nt_, in_local_, spinor_ghosts_, std::nullopt, ghost_wire_);
-      run_ranks(nr, [&](int r) {
-        auto& sample = samples[static_cast<std::size_t>(r)];
-        Stopwatch sw;
-        {
-          ScopedSpan span("dslash.post");
-          ex.post_sends(r);
-        }
-        sample.post_s = sw.seconds();
-        {
-          ScopedSpan span("dslash.interior");
-          interior_kernel(r);
-        }
-        sample.interior_s = sw.seconds() - sample.post_s;
-        {
-          ScopedSpan span("dslash.wait");
-          ex.wait_all(r);
-        }
-        sample.wait_s = sw.seconds() - sample.post_s - sample.interior_s;
-        {
-          ScopedSpan span("dslash.exterior");
-          for (int mu = 0; mu < kNDim; ++mu) {
-            if (part_.partitioned(mu)) exterior_kernel(r, mu);
-          }
-        }
-        sample.exterior_s =
-            sw.seconds() - sample.post_s - sample.interior_s - sample.wait_s;
-      });
-      const ExchangeCounters delta = ex.total_sent();
-      traffic_.spinor += delta;
-      account_exchange(delta);
-    } else {
-      run_ranks(nr, [&](int r) {
-        Stopwatch sw;
-        ScopedSpan span("dslash.interior");
-        interior_kernel(r);
-        samples[static_cast<std::size_t>(r)].interior_s = sw.seconds();
-      });
-    }
-    detail::accumulate(overlap_, samples);
-  }
-
   /// out = m in + D in / 2 on every local site, from the rank-local
   /// neighbours only (the shared staggered site body); the exterior
   /// kernels add the ghost terms.
@@ -732,8 +671,8 @@ class PartitionedStaggered : public LinearOperator<StaggeredField<Real>> {
     const LatticeGeometry& local = part_.local();
     const auto& fat = fat_local_[static_cast<std::size_t>(r)];
     const auto& lng = lng_local_[static_cast<std::size_t>(r)];
-    const auto& in = in_local_[static_cast<std::size_t>(r)];
-    auto& out = out_local_[static_cast<std::size_t>(r)];
+    const auto& in = st_.in[static_cast<std::size_t>(r)];
+    auto& out = st_.out[static_cast<std::size_t>(r)];
     const Real m = static_cast<Real>(mass_);
     tuned_site_loop(
         "staggered_part_interior", detail::dslash_aux<Real>(std::nullopt, false),
@@ -756,8 +695,8 @@ class PartitionedStaggered : public LinearOperator<StaggeredField<Real>> {
     const auto& lng = lng_local_[static_cast<std::size_t>(r)];
     const auto& fg = fat_ghosts_[static_cast<std::size_t>(r)];
     const auto& lg = lng_ghosts_[static_cast<std::size_t>(r)];
-    const auto& sg = spinor_ghosts_[static_cast<std::size_t>(r)];
-    auto& out = out_local_[static_cast<std::size_t>(r)];
+    const auto& sg = st_.ghosts[static_cast<std::size_t>(r)];
+    auto& out = st_.out[static_cast<std::size_t>(r)];
     const FaceIndexer& face = nt_.face(mu);
     const int L = local.dim(mu);
     // Boundary slices touched by 1- or 3-hop terms, deduplicated (a local
@@ -807,11 +746,7 @@ class PartitionedStaggered : public LinearOperator<StaggeredField<Real>> {
   std::vector<GaugeField<Real>> lng_local_;
   std::vector<GhostZones<Matrix3<Real>>> fat_ghosts_;
   std::vector<GhostZones<Matrix3<Real>>> lng_ghosts_;
-  mutable std::vector<StaggeredField<Real>> in_local_;
-  mutable std::vector<StaggeredField<Real>> out_local_;
-  mutable std::vector<GhostZones<ColorVector<Real>>> spinor_ghosts_;
-  mutable PartitionedTraffic traffic_;
-  mutable OverlapStats overlap_;
+  mutable detail::RankStaging<ColorVector<Real>, ColorVector<Real>> st_;
 };
 
 }  // namespace lqcd

@@ -1,7 +1,8 @@
 #pragma once
 /// \file wilson_kernel.h
 /// \brief Single-domain Wilson hopping-term kernel (wraparound neighbours),
-/// with optional parity restriction and optional Dirichlet block cut.
+/// with optional parity restriction and optional Dirichlet block cut, and
+/// the one Wilson site body every hop runs.
 ///
 /// Convention (Eq. (2) with the standard normalization):
 ///   D psi(x) = sum_mu [ (1 - gamma_mu) U_mu(x)        psi(x + mu)
@@ -11,6 +12,12 @@
 /// The kernel uses the spin-projection trick: each direction costs two SU(3)
 /// mat-vecs on a projected half spinor instead of four.  A full-spinor
 /// reference path (wilson_hop_reference) exists for cross-checking.
+///
+/// Every Wilson hop of the library — these kernels, the multi-RHS hop
+/// (dirac/multi_rhs.h), the SoA hop (dirac/soa_kernel.h) and the
+/// partitioned interior (dirac/partitioned.h) — runs detail::wilson_site_hop
+/// over neighbour indices, with -1 for a dropped leg, or its lane form
+/// detail::lane_wilson_leg.
 ///
 /// All kernels are templated on the gauge type: a `GaugeField` (full
 /// 18-real links) or a `CompressedGaugeField` (reconstruct-12/-8 storage,
@@ -32,7 +39,9 @@
 #include "fields/compressed_gauge.h"
 #include "fields/lattice_field.h"
 #include "lattice/block_mask.h"
+#include "lattice/neighbor_table.h"
 #include "linalg/gamma.h"
+#include "linalg/simd.h"
 #include "tune/site_loop.h"
 #include "util/parallel_for.h"
 
@@ -40,27 +49,49 @@ namespace lqcd {
 
 namespace detail {
 
-/// Hop accumulation D in(x) for one site (both directions, all mu), the
-/// body shared by the hop-only and fused-operator kernels.
-template <typename Real, typename Gauge>
-inline WilsonSpinor<Real> wilson_hop_site(const LatticeGeometry& g,
-                                          const Gauge& u,
-                                          const WilsonField<Real>& in,
-                                          std::int64_t s, const Coord& x,
-                                          const LinkCut* mask) {
+/// Neighbour indices of site \p s for the site body: the table's eo index
+/// per leg, or -1 for a leg the body drops — a ghost entry of a
+/// partitioned table, or a leg that \p cut crosses (the Dirichlet cut).
+inline void wilson_neighbors(const NeighborTable& nt, std::int64_t s,
+                             const LinkCut* cut, std::int64_t* sp,
+                             std::int64_t* sm) {
+  for (int mu = 0; mu < kNDim; ++mu) {
+    const NeighborTable::Ref fwd = nt.neighbor(s, mu, +1, 1);
+    const NeighborTable::Ref bwd = nt.neighbor(s, mu, -1, 1);
+    sp[mu] = fwd.local() ? fwd.index : -1;
+    sm[mu] = bwd.local() ? bwd.index : -1;
+  }
+  if (cut != nullptr) {
+    const Coord x = nt.geometry().eo_coords(s);
+    for (int mu = 0; mu < kNDim; ++mu) {
+      if (cut->crosses(x, mu, +1)) sp[mu] = -1;
+      if (cut->crosses(x, mu, -1)) sm[mu] = -1;
+    }
+  }
+}
+
+/// The Wilson hop D in at site \p s over the legs whose neighbour index is
+/// set (-1 drops a leg), in mu order, forward leg before backward:
+/// project -> SU(3) mat-vec -> accumulate-reconstruct.  The one scalar
+/// Wilson site body: every hop of the library runs it (the lane paths
+/// mirror it per lane).  \p in[i] is the spinor at eo index i — a site
+/// pointer for AoS fields, a gathering view for SoA ones.
+template <typename Real, typename Gauge, typename In>
+inline WilsonSpinor<Real> wilson_site_hop(const Gauge& u, const In& in,
+                                          std::int64_t s,
+                                          const std::int64_t* sp,
+                                          const std::int64_t* sm) {
   WilsonSpinor<Real> acc{};
   for (int mu = 0; mu < kNDim; ++mu) {
-    if (mask == nullptr || !mask->crosses(x, mu, +1)) {
-      const Coord xp = g.shifted(x, mu, +1);
-      const HalfSpinor<Real> h = project(mu, -1, in.at(xp));
+    if (sp[mu] >= 0) {
       const auto& link = u.link(mu, s);
+      const HalfSpinor<Real> h = project(mu, -1, in[sp[mu]]);
       const HalfSpinor<Real> t = link * h;
       accumulate_reconstruct(mu, -1, t, acc);
     }
-    if (mask == nullptr || !mask->crosses(x, mu, -1)) {
-      const Coord xm = g.shifted(x, mu, -1);
-      const HalfSpinor<Real> h = project(mu, +1, in.at(xm));
-      const auto& link = u.link(mu, g.eo_index(xm));
+    if (sm[mu] >= 0) {
+      const auto& link = u.link(mu, sm[mu]);
+      const HalfSpinor<Real> h = project(mu, +1, in[sm[mu]]);
       const HalfSpinor<Real> t = adj_mul(link, h);
       accumulate_reconstruct(mu, +1, t, acc);
     }
@@ -68,15 +99,83 @@ inline WilsonSpinor<Real> wilson_hop_site(const LatticeGeometry& g,
   return acc;
 }
 
+/// (4 + m + A) psi - hop / 2 at one site: the epilogue of every fused
+/// Wilson-clover apply.  \p a may be null (plain Wilson).
+template <typename Real>
+inline WilsonSpinor<Real> wilson_clover_site(WilsonSpinor<Real> hop,
+                                             const WilsonSpinor<Real>& psi,
+                                             const CloverSite<Real>* a,
+                                             Real diag) {
+  WilsonSpinor<Real> v = psi;
+  v *= diag;
+  if (a != nullptr) v += clover_apply(*a, psi);
+  hop *= Real(-0.5);
+  v += hop;
+  return v;
+}
+
+/// One hop leg of wilson_site_hop on N lanes: project (1 + sign*gamma_mu),
+/// SU(3) mat-vec (adjoint via conjugated transposed entries, as adj_mul),
+/// accumulate-reconstruct, mirroring project()/operator*/adj_mul()/
+/// accumulate_reconstruct() operation for operation, so each lane's bits
+/// are the scalar body's (linalg/simd.h, "Bitwise contract").  \p link(i, j)
+/// returns link entry (i, j) in lane form: one entry broadcast to every lane
+/// when the lanes are right-hand sides at one site (dirac/multi_rhs.h), or
+/// each lane's own entry when the lanes are sites (dirac/soa_kernel.h).
+template <typename Real, int N, typename Link>
+inline void lane_wilson_leg(const Link& link, int mu, int sign, bool adjoint,
+                            const CplxLanes<Real, N> psi[kNSpin][kNColor],
+                            CplxLanes<Real, N> acc[kNSpin][kNColor]) {
+  const GammaPattern& gp = kGamma[static_cast<std::size_t>(mu)];
+  // project(): h[a][c] = psi[a][c] +- i^phase[a] psi[col[a]][c].  The
+  // scalar `x + (-t)` is IEEE-identical to `x - t`.
+  CplxLanes<Real, N> h[2][kNColor];
+  for (int a = 0; a < 2; ++a) {
+    const auto aa = static_cast<std::size_t>(a);
+    for (int c = 0; c < kNColor; ++c) {
+      const CplxLanes<Real, N> t =
+          cl_mul_i_pow(gp.phase[aa], psi[gp.col[aa]][c]);
+      h[a][c] = sign > 0 ? cl_add(psi[a][c], t) : cl_sub(psi[a][c], t);
+    }
+  }
+  // t[a][i] = sum_j L(i,j) h[a][j] (or conj(L(j,i)) for the adjoint),
+  // accumulating from zero in j order exactly as the scalar mat-vec does.
+  CplxLanes<Real, N> t[2][kNColor];
+  for (int i = 0; i < kNColor; ++i) {
+    CplxLanes<Real, N> row[kNColor];
+    for (int j = 0; j < kNColor; ++j) {
+      row[j] = adjoint ? cl_conj(link(j, i)) : link(i, j);
+    }
+    for (int a = 0; a < 2; ++a) {
+      CplxLanes<Real, N> sum{};
+      for (int j = 0; j < kNColor; ++j) cl_mul_acc(sum, row[j], h[a][j]);
+      t[a][i] = sum;
+    }
+  }
+  // accumulate_reconstruct(): out[a] += t[a]; out[col[a]] +-= conj-phase t.
+  for (int a = 0; a < 2; ++a) {
+    const auto aa = static_cast<std::size_t>(a);
+    const int c_row = gp.col[aa];
+    const int conj_phase = (4 - gp.phase[aa]) & 3;
+    for (int c = 0; c < kNColor; ++c) {
+      acc[a][c] = cl_add(acc[a][c], t[a][c]);
+      const CplxLanes<Real, N> v = cl_mul_i_pow(conj_phase, t[a][c]);
+      acc[c_row][c] =
+          sign > 0 ? cl_add(acc[c_row][c], v) : cl_sub(acc[c_row][c], v);
+    }
+  }
+}
+
 }  // namespace detail
 
-/// out(x) = D in(x) for the selected target sites.  If \p target is set,
+/// out(x) = D in(x) for the selected target sites, with the neighbours of
+/// \p nt (the unpartitioned table of in's extents).  If \p target is set,
 /// only sites of that parity are written (others left untouched).  If
 /// \p mask is given, hopping terms whose path crosses a block boundary are
 /// dropped (the "communications switched off" operator of §8.1).
 template <typename Real, typename Gauge>
 void wilson_hop(WilsonField<Real>& out, const Gauge& u,
-                const WilsonField<Real>& in,
+                const WilsonField<Real>& in, const NeighborTable& nt,
                 std::optional<Parity> target = std::nullopt,
                 const LinkCut* mask = nullptr) {
   const LatticeGeometry& g = in.geometry();
@@ -85,6 +184,7 @@ void wilson_hop(WilsonField<Real>& out, const Gauge& u,
   const std::int64_t end =
       target.has_value() && *target == Parity::Even ? g.half_volume()
                                                     : g.volume();
+  const WilsonSpinor<Real>* psi = in.sites().data();
   // Each site writes only its own output: embarrassingly parallel, so the
   // loop granularity is autotuned (numerics-neutral).
   tuned_site_loop(
@@ -92,38 +192,53 @@ void wilson_hop(WilsonField<Real>& out, const Gauge& u,
       detail::dslash_aux<Real>(target, mask != nullptr, gauge_recon(u)),
       out.sites(), end - begin, [&](std::int64_t idx) {
     const std::int64_t s = begin + idx;
-    const Coord x = g.eo_coords(s);
-    out.at(s) = detail::wilson_hop_site(g, u, in, s, x, mask);
+    std::int64_t sp[kNDim];
+    std::int64_t sm[kNDim];
+    detail::wilson_neighbors(nt, s, mask, sp, sm);
+    out.at(s) = detail::wilson_site_hop<Real>(u, psi, s, sp, sm);
   });
   meter_gauge_bytes(gauge_recon(u), 8 * (end - begin),
                     static_cast<int>(sizeof(Real)));
 }
 
+/// wilson_hop with the shared table of in's extents
+/// (shared_local_neighbors).  The memo holds a table only while some
+/// caller does, so a loop of these calls with no holder builds one per
+/// call: operators and timed loops hold theirs and pass it.
+template <typename Real, typename Gauge>
+void wilson_hop(WilsonField<Real>& out, const Gauge& u,
+                const WilsonField<Real>& in,
+                std::optional<Parity> target = std::nullopt,
+                const LinkCut* mask = nullptr) {
+  wilson_hop(out, u, in, *shared_local_neighbors(in.geometry(), 1), target,
+             mask);
+}
+
 /// Fused Wilson-clover application M in = (4 + m + A) in - (1/2) D in: one
 /// sweep computes the hop and applies the diagonal epilogue in registers
 /// (the dslash+axpy fusion — no temporary hop field, ~1/3 fewer spinor
-/// bytes moved than hop-then-combine).  \p a may be null (plain Wilson).
+/// bytes moved than hop-then-combine).  \p a may be null (plain Wilson);
+/// \p nt and \p mask as in wilson_hop.
 template <typename Real, typename Gauge>
 void wilson_clover_apply(WilsonField<Real>& out, const Gauge& u,
                          const CloverField<Real>* a, double mass,
-                         const WilsonField<Real>& in,
+                         const WilsonField<Real>& in, const NeighborTable& nt,
                          const LinkCut* mask = nullptr) {
   const LatticeGeometry& g = in.geometry();
   const Real diag = static_cast<Real>(4.0 + mass);
+  const WilsonSpinor<Real>* psi = in.sites().data();
   std::string aux =
       detail::dslash_aux<Real>(std::nullopt, mask != nullptr, gauge_recon(u));
   if (a != nullptr) aux += ",clov";
   tuned_site_loop(
       "wilson_clover_fused", std::move(aux), out.sites(), g.volume(),
       [&](std::int64_t s) {
-    const Coord x = g.eo_coords(s);
-    WilsonSpinor<Real> hop = detail::wilson_hop_site(g, u, in, s, x, mask);
-    WilsonSpinor<Real> v = in.at(s);
-    v *= diag;
-    if (a != nullptr) v += clover_apply(a->at(s), in.at(s));
-    hop *= Real(-0.5);
-    v += hop;
-    out.at(s) = v;
+    std::int64_t sp[kNDim];
+    std::int64_t sm[kNDim];
+    detail::wilson_neighbors(nt, s, mask, sp, sm);
+    out.at(s) = detail::wilson_clover_site(
+        detail::wilson_site_hop<Real>(u, psi, s, sp, sm), psi[s],
+        a != nullptr ? &a->at(s) : nullptr, diag);
   });
   meter_gauge_bytes(gauge_recon(u), 8 * g.volume(),
                     static_cast<int>(sizeof(Real)));

@@ -35,7 +35,8 @@ class WilsonCloverOperator : public LinearOperator<WilsonField<Real>> {
   WilsonCloverOperator(const GaugeField<Real>& u, const CloverField<Real>* a,
                        double mass, const LinkCut* mask = nullptr,
                        Reconstruct recon = Reconstruct::None)
-      : u_(&u), a_(a), mass_(mass), mask_(mask) {
+      : u_(&u), a_(a), mass_(mass), mask_(mask),
+        nt_(shared_local_neighbors(u.geometry(), 1)) {
     // Scratch fields exist only while the policy sweep runs (forced /
     // default settings never invoke the callback).
     std::unique_ptr<WilsonField<Real>> tin;
@@ -119,14 +120,14 @@ class WilsonCloverOperator : public LinearOperator<WilsonField<Real>> {
                   const WilsonField<Real>& in) const {
     switch (r) {
       case Reconstruct::Twelve:
-        wilson_clover_apply(out, *c12_, a_, mass_, in, mask_);
+        wilson_clover_apply(out, *c12_, a_, mass_, in, *nt_, mask_);
         break;
       case Reconstruct::Eight:
-        wilson_clover_apply(out, *c8_, a_, mass_, in, mask_);
+        wilson_clover_apply(out, *c8_, a_, mass_, in, *nt_, mask_);
         break;
       case Reconstruct::None:
       default:
-        wilson_clover_apply(out, *u_, a_, mass_, in, mask_);
+        wilson_clover_apply(out, *u_, a_, mass_, in, *nt_, mask_);
         break;
     }
   }
@@ -135,6 +136,9 @@ class WilsonCloverOperator : public LinearOperator<WilsonField<Real>> {
   const CloverField<Real>* a_;
   double mass_;
   const LinkCut* mask_;
+  /// The neighbour table of the AoS applies, held so that the shared table
+  /// is built once per operator, not per call.
+  std::shared_ptr<const NeighborTable> nt_;
   Reconstruct recon_ = Reconstruct::None;
   Layout layout_ = Layout::AoS;
   std::unique_ptr<CompressedGaugeField<Real>> c12_;

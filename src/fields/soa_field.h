@@ -51,15 +51,11 @@ template <typename R>
 struct soa_site_real<WilsonSpinor<R>> {
   using type = R;
 };
-template <typename R>
-struct soa_site_real<ColorVector<R>> {
-  using type = R;
-};
 }  // namespace detail
 
 /// Lane-blocked SoA storage for one Site type.  Pad lanes of a tail block
-/// are zero-initialized and kept zero by the elementwise BLAS, so vector
-/// sweeps over whole blocks never read indeterminate values.
+/// are zero-initialized, so vector sweeps over whole blocks never read
+/// indeterminate values.
 template <typename Site>
 class SoAField {
  public:
@@ -149,9 +145,6 @@ class SoAField {
 
 template <typename Real>
 using SoAWilsonField = SoAField<WilsonSpinor<Real>>;
-
-template <typename Real>
-using SoAStaggeredField = SoAField<ColorVector<Real>>;
 
 /// AoS -> SoA transmuter: a pure reorder of each site's raw reals (bitwise
 /// lossless; the inverse round-trips exactly).

@@ -1,14 +1,16 @@
 #pragma once
 /// \file simd.h
-/// \brief Build-time SIMD lane abstraction for the vector-blocked (SoA)
-/// field layout — the CPU analogue of the paper's float4-style coalesced
-/// spinor ordering (§6.2).
+/// \brief Build-time SIMD lane abstraction, the one lane family of both
+/// SIMD axes: across sites in the vector-blocked (SoA) field layout — the
+/// CPU analogue of the paper's float4-style coalesced spinor ordering
+/// (§6.2) — and across right-hand sides in the multi-RHS hop.
 ///
 /// A "lane pack" holds one real component of kSoaLanes<Real> consecutive
-/// checkerboard sites.  On GNU-compatible compilers the pack is a native
-/// GCC vector type, so every elementwise op is one vertical instruction; on
-/// other compilers it degrades to a fixed-size array with elementwise
-/// loops (the portable scalar fallback — same values, auto-vectorizable).
+/// checkerboard sites, or of four right-hand sides at one site.  On
+/// GNU-compatible compilers the pack is a native GCC vector type, so every
+/// elementwise op is one vertical instruction; on other compilers it
+/// degrades to a fixed-size array with elementwise loops (the portable
+/// scalar fallback — same values, auto-vectorizable).
 ///
 /// The lane width is selected at build time via LQCD_SIMD_BYTES (16 =
 /// 128-bit SSE2 baseline, 32 = 256-bit; default 16).  The width is part of
@@ -27,12 +29,14 @@
 /// exact sign-bit flips, and (c) the default build is the SSE2 baseline so
 /// no FMA contraction exists on either path, a lane kernel that mirrors
 /// the scalar operation sequence step for step produces bit-identical
-/// results per site.  This
-/// is the same argument dirac/multi_rhs.h makes for its SIMD-across-RHS
-/// path; tests/test_soa.cpp asserts it for the SoA site kernels.
+/// results per site.  Both lane paths run one lane leg
+/// (detail::lane_wilson_leg, dirac/wilson_kernel.h); tests/test_soa.cpp
+/// asserts the contract for the SoA hop and tests/test_serve.cpp for the
+/// multi-RHS hop.
 
 #include <cstring>
 #include <string>
+#include <utility>
 
 namespace lqcd {
 
@@ -137,15 +141,16 @@ inline void lane_store(Real* p, const LaneVec<Real, N>& v) {
   std::memcpy(p, &v, sizeof(v));
 }
 
+/// x in every lane, brace-initialized (a per-lane store loop into an
+/// uninitialized vector compiles to a stack round trip).
 template <typename Real, int N = kSoaLanes<Real>>
 inline LaneVec<Real, N> lane_broadcast(Real x) {
-  LaneVec<Real, N> r;
-  for (int i = 0; i < N; ++i) r[i] = x;
-  return r;
+  return [x]<std::size_t... I>(std::index_sequence<I...>) {
+    return LaneVec<Real, N>{((void)I, x)...};
+  }(std::make_index_sequence<static_cast<std::size_t>(N)>{});
 }
 
-/// A complex value per lane, split re/im — vertical complex arithmetic
-/// (the CplxV4 idiom of dirac/multi_rhs.h, generalized over Real and N).
+/// A complex value per lane, split re/im — vertical complex arithmetic.
 template <typename Real, int N = kSoaLanes<Real>>
 struct CplxLanes {
   LaneVec<Real, N> re, im;

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -24,6 +25,7 @@
 #include "dirac/wilson_ops.h"
 #include "fault/fault.h"
 #include "fields/blas.h"
+#include "fields/compressed_gauge.h"
 #include "gauge/clover_leaf.h"
 #include "gauge/configure.h"
 #include "gauge/heatbath.h"
@@ -75,11 +77,11 @@ void expect_stats_equal(const SolverStats& a, const SolverStats& b,
 // ---------------------------------------------------------------------------
 
 /// wilson_hop_multi on \p width sources against wilson_hop on each, on
-/// the whole lattice and on each parity target.
-template <typename Real>
-void expect_hop_multi_matches_single(int width) {
-  const LatticeGeometry g({4, 4, 4, 8});
-  const GaugeField<Real> u = convert_gauge<Real>(hot_gauge(g, 211));
+/// the whole lattice and on each parity target, with the links of \p u
+/// (full or 12/8-reconstructed).
+template <typename Real, typename Gauge>
+void expect_hop_multi_matches_single(const Gauge& u, int width) {
+  const LatticeGeometry& g = u.geometry();
   std::vector<WilsonField<Real>> in;
   std::vector<WilsonField<Real>> out_multi;
   for (int r = 0; r < width; ++r) {
@@ -117,15 +119,32 @@ void expect_hop_multi_matches_single(int width) {
   }
 }
 
+/// The hop comparison on full 18-real links and on 12- and 8-real
+/// reconstructed links (rebuilt per link load, as the single-RHS hop does).
+template <typename Real>
+void expect_hop_multi_matches_single_all_formats(int width) {
+  const LatticeGeometry g({4, 4, 4, 8});
+  const GaugeField<Real> u = convert_gauge<Real>(hot_gauge(g, 211));
+  {
+    SCOPED_TRACE("recon18");
+    expect_hop_multi_matches_single<Real>(u, width);
+  }
+  for (Reconstruct r : {Reconstruct::Twelve, Reconstruct::Eight}) {
+    SCOPED_TRACE(std::string("recon") + to_string(r));
+    const CompressedGaugeField<Real> cu(u, r);
+    expect_hop_multi_matches_single<Real>(cu, width);
+  }
+}
+
 TEST(MultiRhs, WilsonHopBitwiseMatchesSingle) {
   // Width 5 is not a power of two: a ragged group.  In float it is one
   // four-lane SIMD group plus a scalar tail.
   {
     SCOPED_TRACE("double");
-    expect_hop_multi_matches_single<double>(5);
+    expect_hop_multi_matches_single_all_formats<double>(5);
   }
   SCOPED_TRACE("float");
-  expect_hop_multi_matches_single<float>(5);
+  expect_hop_multi_matches_single_all_formats<float>(5);
 }
 
 TEST(MultiRhs, MaskedSchurApplyMultiThrows) {

@@ -1,28 +1,24 @@
-// Lane-blocked SoA layout (fields/soa_field.h, dirac/soa_kernel.h,
-// fields/soa_blas.h): transmute losslessness, bitwise parity of the SoA
-// hop/BLAS fast paths against the AoS kernels across parities, gauge
-// formats, block cuts and worker counts, the layout policy axis, and
-// identical solver iterates with the SoA operator path enabled.
+// Lane-blocked SoA layout (fields/soa_field.h, dirac/soa_kernel.h):
+// transmute losslessness, bitwise parity of the SoA Wilson hop against the
+// AoS kernel across parities, gauge formats, block cuts and worker counts,
+// the layout policy axis, and identical solver iterates with the SoA
+// operator path enabled.
 #include <gtest/gtest.h>
 
-#include <complex>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
 
 #include "dirac/layout_policy.h"
 #include "dirac/soa_kernel.h"
-#include "dirac/staggered.h"
 #include "dirac/wilson_kernel.h"
 #include "dirac/wilson_ops.h"
 #include "fields/blas.h"
 #include "fields/compressed_gauge.h"
 #include "fields/precision.h"
-#include "fields/soa_blas.h"
 #include "fields/soa_field.h"
 #include "gauge/clover_leaf.h"
 #include "gauge/configure.h"
-#include "gauge/staggered_links.h"
 #include "lattice/block_mask.h"
 #include "solvers/gcr.h"
 #include "tune/tune_cache.h"
@@ -68,13 +64,6 @@ TEST_F(SoaTest, TransmuteRoundTripIsBitwiseLossless) {
   WilsonField<double> back(g);
   from_soa(s, back);
   EXPECT_TRUE(fields_equal(f, back));
-
-  const StaggeredField<double> v = gaussian_staggered_source(g, 2);
-  SoAStaggeredField<double> sv(g);
-  to_soa(v, sv);
-  StaggeredField<double> vback(g);
-  from_soa(sv, vback);
-  EXPECT_TRUE(fields_equal(v, vback));
 }
 
 TEST_F(SoaTest, BlockIndexingIsConsistent) {
@@ -160,33 +149,6 @@ void fuzz_wilson_hop() {
 TEST_F(SoaTest, WilsonHopBitwiseMatchesAoSDouble) { fuzz_wilson_hop<double>(); }
 TEST_F(SoaTest, WilsonHopBitwiseMatchesAoSFloat) { fuzz_wilson_hop<float>(); }
 
-TEST_F(SoaTest, StaggeredHopBitwiseMatchesAoS) {
-  const LatticeGeometry g({4, 4, 4, 4});
-  const GaugeField<double> u = hot_gauge(g, 13);
-  const AsqtadLinks links = build_asqtad_links(u);
-  const StaggeredField<double> in = gaussian_staggered_source(g, 14);
-  const BlockMask mask(g, {1, 2, 1, 2});
-  const SoAGaugeField<double> fat(links.fat, Reconstruct::None);
-  const SoAGaugeField<double> lng(links.lng, Reconstruct::None);
-  SoAStaggeredField<double> sin(g);
-  to_soa(in, sin);
-  const std::optional<Parity> targets[] = {std::nullopt, Parity::Even,
-                                           Parity::Odd};
-  for (const auto& target : targets) {
-    for (const LinkCut* m :
-         {static_cast<const LinkCut*>(nullptr),
-          static_cast<const LinkCut*>(&mask)}) {
-      StaggeredField<double> ref(g);
-      staggered_hop(ref, links.fat, links.lng, in, target, m);
-      SoAStaggeredField<double> sout(g);
-      staggered_hop_soa(sout, fat, lng, sin, target, m);
-      StaggeredField<double> got(g);
-      from_soa(sout, got);
-      ASSERT_TRUE(fields_equal(ref, got)) << "mask=" << (m != nullptr);
-    }
-  }
-}
-
 TEST_F(SoaTest, HopBitwiseIndependentOfWorkerCount) {
   const LatticeGeometry g({4, 4, 4, 4});
   const GaugeField<double> u = hot_gauge(g, 15);
@@ -201,88 +163,6 @@ TEST_F(SoaTest, HopBitwiseIndependentOfWorkerCount) {
   EXPECT_EQ(std::memcmp(out1.raw().data(), out4.raw().data(),
                         out1.raw().size_bytes()),
             0);
-}
-
-// ---------------------------------------------------------------------------
-// Fused SoA BLAS.
-// ---------------------------------------------------------------------------
-
-TEST_F(SoaTest, ElementwiseBlasBitwiseMatchesAoS) {
-  const LatticeGeometry g({4, 4, 4, 4});
-  WilsonField<double> x = gaussian_wilson_source(g, 21);
-  WilsonField<double> y = gaussian_wilson_source(g, 22);
-  SoAWilsonField<double> sx(g), sy(g);
-  to_soa(x, sx);
-  to_soa(y, sy);
-  const std::complex<double> ca(0.3, -1.1);
-
-  scale(0.7, x);
-  soa_scale(0.7, sx);
-  axpy(1.3, x, y);
-  soa_axpy(1.3, sx, sy);
-  xpay(x, -0.2, y);
-  soa_xpay(sx, -0.2, sy);
-  axpby(0.4, x, -1.7, y);
-  soa_axpby(0.4, sx, -1.7, sy);
-  caxpy(ca, x, y);
-  soa_caxpy(ca, sx, sy);
-
-  WilsonField<double> gx(g), gy(g);
-  from_soa(sx, gx);
-  from_soa(sy, gy);
-  EXPECT_TRUE(fields_equal(x, gx));
-  EXPECT_TRUE(fields_equal(y, gy));
-
-  SoAWilsonField<double> sz(g);
-  soa_copy(sz, sy);
-  WilsonField<double> gz(g);
-  from_soa(sz, gz);
-  EXPECT_TRUE(fields_equal(y, gz));
-}
-
-TEST_F(SoaTest, ReductionsMatchAoSCloselyAndAreWorkerIndependent) {
-  const LatticeGeometry g({4, 4, 4, 4});
-  const WilsonField<double> x = gaussian_wilson_source(g, 23);
-  const WilsonField<double> y = gaussian_wilson_source(g, 24);
-  SoAWilsonField<double> sx(g), sy(g);
-  to_soa(x, sx);
-  to_soa(y, sy);
-
-  // Values agree to rounding (the summation *order* differs by design —
-  // lane-block-major vs site-major; see fields/soa_blas.h).
-  const double n2 = norm2(x);
-  EXPECT_NEAR(soa_norm2(sx), n2, 1e-12 * n2);
-  const std::complex<double> d = dot(x, y);
-  EXPECT_NEAR(std::abs(soa_cdot(sx, sy) - d), 0.0, 1e-12 * std::abs(d));
-
-  // Bitwise independent of the worker count (fixed chunk grid + lane
-  // order).
-  set_worker_count(1);
-  const double a1 = soa_norm2(sx);
-  const std::complex<double> c1 = soa_cdot(sx, sy);
-  set_worker_count(6);
-  const double a6 = soa_norm2(sx);
-  const std::complex<double> c6 = soa_cdot(sx, sy);
-  EXPECT_EQ(std::memcmp(&a1, &a6, sizeof(a1)), 0);
-  EXPECT_EQ(std::memcmp(&c1, &c6, sizeof(c1)), 0);
-}
-
-TEST_F(SoaTest, FusedCaxpyNorm2MatchesUnfusedBitwise) {
-  const LatticeGeometry g({4, 4, 4, 4});
-  const WilsonField<double> x = gaussian_wilson_source(g, 25);
-  const WilsonField<double> y = gaussian_wilson_source(g, 26);
-  const std::complex<double> a(-0.8, 0.45);
-  SoAWilsonField<double> sx(g), fused(g), unfused(g);
-  to_soa(x, sx);
-  to_soa(y, fused);
-  to_soa(y, unfused);
-  const double fused_n2 = soa_caxpy_norm2(a, sx, fused);
-  soa_caxpy(a, sx, unfused);
-  const double unfused_n2 = soa_norm2(unfused);
-  EXPECT_EQ(std::memcmp(fused.raw().data(), unfused.raw().data(),
-                        fused.raw().size_bytes()),
-            0);
-  EXPECT_EQ(std::memcmp(&fused_n2, &unfused_n2, sizeof(double)), 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <vector>
 
 #include "obs/metrics.h"
 
@@ -11,6 +13,7 @@
 #include "dirac/staggered.h"
 #include "dirac/wilson_ops.h"
 #include "fields/blas.h"
+#include "fields/precision.h"
 #include "gauge/clover_leaf.h"
 #include "gauge/configure.h"
 #include "gauge/staggered_links.h"
@@ -124,6 +127,52 @@ TEST(Solvers, GcrConvergedCycleSkipsRedundantRestart) {
   EXPECT_EQ(stats.restarts, 0);
   EXPECT_EQ(stats.matvecs, stats.iterations + 2);
   EXPECT_LT(sys.residual(x), 1e-8);
+}
+
+TEST(Solvers, GcrFinalCheckRestartsFromTrueResidual) {
+  // Half-precision stores (the GCR-DD configuration) let the iterated
+  // residual drift from the true one.  One cycle runs to the target (no
+  // early restart, basis never full), and the iterations do not depend on
+  // tol until the stop, so tol just above the iterated residual of
+  // iteration k stops the solve there.  The first k whose true residual
+  // reads above that tol is the case the final check decides: with
+  // iterations and restarts left, the solve must restart from the true
+  // residual it just computed (Algorithm 1's reliable update, reusing the
+  // check's matvec) and converge, not report converged = false.
+  const LatticeGeometry g({4, 4, 4, 4});
+  const GaugeField<float> u = convert_gauge<float>(weak_gauge(g, 101, 0.3));
+  const WilsonCloverOperator<float> m(u, nullptr, 0.2);
+  const WilsonField<float> b =
+      convert_field<float>(gaussian_wilson_source(g, 102));
+  const double bnorm = std::sqrt(norm2(b));
+  const std::function<void(WilsonField<float>&)> half_store =
+      [](WilsonField<float>& f) { half_roundtrip(f); };
+  GcrParams p;
+  p.kmax = 1000;  // one cycle unless the final check restarts
+  p.delta = 0.0;  // no early restart
+  WilsonField<float> x(g);
+  set_zero(x);
+  p.tol = 1e-5;
+  const std::vector<double> history =
+      gcr_solve(m, x, b, nullptr, p, half_store).residual_history;
+  SolverStats stats;
+  double tol = 0;
+  for (double h : history) {
+    p.tol = h / bnorm * (1 + 1e-6);
+    set_zero(x);
+    stats = gcr_solve(m, x, b, nullptr, p, half_store);
+    if (stats.restarts > 0 || !stats.converged) {
+      tol = p.tol;
+      break;
+    }
+  }
+  ASSERT_GT(tol, 0) << "no iteration ended with a true residual above tol";
+  EXPECT_GE(stats.restarts, 1);
+  EXPECT_TRUE(stats.converged);
+  EXPECT_LE(stats.final_residual, tol);
+  // One matvec for the initial residual, one per iteration, one per final
+  // check; a restart from a final check reuses that check's matvec.
+  EXPECT_EQ(stats.matvecs, stats.iterations + 2 + stats.restarts);
 }
 
 TEST(Solvers, GcrWithInitialGuess) {
