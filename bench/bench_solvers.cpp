@@ -6,7 +6,7 @@
 
 #include "bench/common.h"
 #include "bench/tune_main.h"
-#include "core/block_gcr_dd.h"
+#include "core/gcr_dd.h"
 #include "core/staggered_multishift.h"
 #include "dirac/wilson_ops.h"
 #include "gauge/staggered_links.h"
@@ -150,7 +150,7 @@ void BM_SolveBlockGcrDd(benchmark::State& state) {
   p.mass = 0.05;
   p.tol = 1e-5;
   p.block_grid = {1, 1, 1, 4};
-  MultiRhsGcrDdWilsonSolver solver(s.u, &s.clover, p);
+  GcrDdWilsonSolver solver(s.u, &s.clover, p);
   for (auto _ : state) {
     for (int base = 0; base < kRhs; base += width) {
       const int w = std::min(width, kRhs - base);

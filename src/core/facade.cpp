@@ -2,12 +2,25 @@
 
 #include <cmath>
 
-#include "dirac/partitioned_schur.h"
 #include "dirac/wilson_ops.h"
 #include "gauge/clover_leaf.h"
-#include "solvers/schwarz.h"
 
 namespace lqcd {
+
+namespace {
+
+/// The GCR-DD settings of \p req, block grid aside.
+GcrDdParams params_of(const WilsonSolveRequest& req) {
+  GcrDdParams p;
+  p.mass = req.mass;
+  p.tol = req.tol;
+  p.kmax = req.kmax;
+  p.delta = req.delta;
+  p.mr.steps = req.mr_steps;
+  return p;
+}
+
+}  // namespace
 
 WilsonSolveOutcome solve_wilson_clover(const GaugeField<double>& u,
                                        const WilsonField<double>& b,
@@ -18,12 +31,7 @@ WilsonSolveOutcome solve_wilson_clover(const GaugeField<double>& u,
 
   WilsonSolveOutcome out;
   if (req.kind == WilsonSolverKind::GcrDd) {
-    GcrDdParams p;
-    p.mass = req.mass;
-    p.tol = req.tol;
-    p.kmax = req.kmax;
-    p.delta = req.delta;
-    p.mr.steps = req.mr_steps;
+    GcrDdParams p = params_of(req);
     p.block_grid = req.block_grid;
     GcrDdWilsonSolver solver(u, clover ? &*clover : nullptr, p);
     out.stats = solver.solve(x, b);
@@ -44,32 +52,19 @@ DistributedSolveOutcome solve_wilson_clover_distributed(
     std::array<int, kNDim> gpu_grid) {
   std::optional<CloverField<double>> clover;
   if (req.csw != 0.0) clover = build_clover_field(u, req.csw);
-  const CloverField<double>* a = clover ? &*clover : nullptr;
-
-  Partitioning part(u.geometry(), gpu_grid);
-  PartitionedWilsonCloverSchur<double> outer(part, u, a, req.mass);
-  PartitionedWilsonCloverSchur<double> dirichlet(part, u, a, req.mass,
-                                                 /*comms=*/false);
-  BlockMask mask(u.geometry(), gpu_grid);
-  SchwarzPreconditioner<WilsonField<double>> precond(
-      dirichlet, mask, MrParams{req.mr_steps, 1.0});
-
-  WilsonField<double> b_hat(u.geometry());
-  outer.prepare_source(b_hat, b);
-  set_zero(x);
-  GcrParams gp;
-  gp.tol = req.tol;
-  gp.kmax = req.kmax;
-  gp.delta = req.delta;
+  GcrDdParams p = params_of(req);
+  p.block_grid = gpu_grid;
+  p.rank_grid = gpu_grid;
+  GcrDdWilsonSolver solver(u, clover ? &*clover : nullptr, p);
 
   DistributedSolveOutcome out;
-  out.stats = gcr_solve(outer, x, b_hat, &precond, gp);
-  out.stats.inner_iterations = precond.inner_steps();
-  outer.reconstruct_solution(x, b);
+  out.stats = solver.solve(x, b);
   out.true_residual = wilson_clover_residual(u, req.mass, req.csw, x, b);
-  out.outer_ghost_bytes = outer.traffic().spinor.total_bytes();
-  out.precond_ghost_bytes = dirichlet.traffic().spinor.total_bytes();
-  out.gauge_ghost_bytes = outer.traffic().gauge.total_bytes();
+  const PartitionedTraffic& outer = solver.partitioned_operator()->traffic();
+  out.outer_ghost_bytes = outer.spinor.total_bytes();
+  out.gauge_ghost_bytes = outer.gauge.total_bytes();
+  out.precond_ghost_bytes =
+      solver.preconditioner().traffic().spinor.total_bytes();
   return out;
 }
 

@@ -24,7 +24,8 @@ struct WilsonSolveRequest {
   double csw = 1.0;  ///< clover coefficient; 0 disables the clover term
   double tol = 1e-5;
   WilsonSolverKind kind = WilsonSolverKind::GcrDd;
-  /// Schwarz block grid for GCR-DD (the virtual GPU grid).
+  /// Schwarz block grid for GCR-DD (the virtual GPU grid).  The
+  /// distributed solve uses its gpu_grid instead.
   std::array<int, kNDim> block_grid{1, 1, 1, 2};
   int mr_steps = 10;
   int kmax = 16;
@@ -49,15 +50,20 @@ struct DistributedSolveOutcome {
   double true_residual = 0;
   std::uint64_t outer_ghost_bytes = 0;    ///< exchanged by the outer solver
   std::uint64_t precond_ghost_bytes = 0;  ///< must be 0 (Schwarz is comm-free)
-  /// One-time link halo of the outer operator (the comms-off Dirichlet
-  /// operator exchanges none).
+  /// One-time link halo of the outer operator (the comms-off Schwarz block
+  /// hops exchange none).
   std::uint64_t gauge_ghost_bytes = 0;
 };
 
 /// The paper's production configuration end to end on the virtual cluster:
-/// even-odd preconditioned Wilson-clover through the multi-dimensionally
-/// partitioned stencil over \p gpu_grid ranks, GCR outer solver, additive
-/// Schwarz preconditioner on the communications-off operator.
+/// the single/half/half GCR-DD of solve_wilson_clover (core/gcr_dd.h), its
+/// outer even-odd Wilson-clover operator running through the
+/// multi-dimensionally partitioned stencil over \p gpu_grid ranks, and one
+/// comm-free Schwarz block per virtual GPU (block grid = rank grid =
+/// \p gpu_grid).  It reads neither `req.block_grid` nor `req.kind`, and
+/// takes `req.tol` in the single-precision regime, as solve_wilson_clover
+/// does for GCR-DD.  The ghost bytes it reports are those of the outer
+/// operator's float wire (4-byte reals unless LQCD_GHOST_PREC narrows it).
 DistributedSolveOutcome solve_wilson_clover_distributed(
     const GaugeField<double>& u, const WilsonField<double>& b,
     WilsonField<double>& x, const WilsonSolveRequest& req,

@@ -34,9 +34,12 @@
 
 namespace lqcd {
 
-/// The Schur operator M_hat (optionally Dirichlet-cut for Schwarz blocks).
+/// The Schur operator M_hat (optionally Dirichlet-cut for Schwarz blocks),
+/// applied one RHS at a time or as a batch.
 template <typename Real>
-class WilsonCloverSchurOperator : public LinearOperator<WilsonField<Real>> {
+class WilsonCloverSchurOperator
+    : public LinearOperator<WilsonField<Real>>,
+      public MultiRhsOperator<WilsonField<Real>> {
  public:
   /// \param a clover field (may be null for plain Wilson).
   WilsonCloverSchurOperator(const GaugeField<Real>& u,
@@ -84,7 +87,8 @@ class WilsonCloverSchurOperator : public LinearOperator<WilsonField<Real>> {
   /// Schwarz runs its cut hops block by block
   /// (BlockTaskSchwarzPreconditioner), so no batched caller passes a cut.
   void apply_multi(const std::vector<WilsonField<Real>*>& outs,
-                   const std::vector<const WilsonField<Real>*>& ins) const {
+                   const std::vector<const WilsonField<Real>*>& ins)
+      const override {
     if (mask_ != nullptr) {
       throw std::logic_error(
           "WilsonCloverSchurOperator::apply_multi: the operator is "

@@ -104,25 +104,6 @@ class PerRhsMultiOperator final : public MultiRhsOperator<Field> {
   const LinearOperator<Field>* op_;
 };
 
-/// Adapter over an operator with a native apply_multi (the Schur operators
-/// below gain one); kept as a template so dirac headers need not know the
-/// concrete operator type.
-template <typename Field, typename Op>
-class NativeMultiRhsOperator final : public MultiRhsOperator<Field> {
- public:
-  explicit NativeMultiRhsOperator(const Op& op) : op_(&op) {}
-
-  void apply_multi(const std::vector<Field*>& outs,
-                   const std::vector<const Field*>& ins) const override {
-    op_->apply_multi(outs, ins);
-  }
-
-  const LatticeGeometry& geometry() const override { return op_->geometry(); }
-
- private:
-  const Op* op_;
-};
-
 namespace detail {
 
 /// Batch-width fragment for the tune-cache aux key.

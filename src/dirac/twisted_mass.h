@@ -15,7 +15,7 @@
 /// unchanged — the even-odd Schur complement inverts the (now
 /// non-Hermitian) A_oo with the same dense LU, and the partitioned,
 /// multi-RHS, and Schwarz paths take the augmented field as-is.  That is
-/// exactly how the GCR-DD solvers run twisted mass: GcrDdParams::twisted_mu
+/// exactly how the GCR-DD solver runs twisted mass: GcrDdParams::twisted_mu
 /// folds the term into the solver's single-precision clover copy.
 ///
 /// Hermiticity: M(mu) is not gamma5-Hermitian on its own; the twisted
@@ -25,9 +25,6 @@
 /// pins this together with the dense-reference check
 /// (dense_twisted_mass in dirac/dense_reference.h).
 
-#include <memory>
-
-#include "dirac/even_odd.h"
 #include "dirac/operator.h"
 #include "dirac/wilson_ops.h"
 #include "fields/clover.h"
@@ -89,45 +86,6 @@ class TwistedMassOperator : public LinearOperator<WilsonField<Real>> {
  private:
   CloverField<Real> twist_;  // must precede op_, which points into it
   WilsonCloverOperator<Real> op_;
-};
-
-/// Even-odd/Schur preconditioned twisted-mass operator: the standard
-/// M_hat = A_ee - (1/4) D_eo A_oo^{-1} D_oe with A = 4 + m + clover +
-/// i mu gamma5.  Forwards the source-prep / back-substitution pair of the
-/// underlying Schur machinery.
-template <typename Real>
-class TwistedMassSchurOperator : public LinearOperator<WilsonField<Real>> {
- public:
-  TwistedMassSchurOperator(const GaugeField<Real>& u,
-                           const CloverField<Real>* a, double mass,
-                           double mu_tm, int flavor_sign = +1,
-                           const LinkCut* mask = nullptr)
-      : twist_(twisted_clover<Real>(u.geometry(), a,
-                                    static_cast<Real>(mu_tm), flavor_sign)),
-        op_(u, &twist_, mass, mask) {}
-
-  void apply(WilsonField<Real>& out, const WilsonField<Real>& in) const override {
-    this->count_application();
-    op_.apply(out, in);
-  }
-
-  const LatticeGeometry& geometry() const override { return op_.geometry(); }
-
-  void prepare_source(WilsonField<Real>& b_hat,
-                      const WilsonField<Real>& b) const {
-    op_.prepare_source(b_hat, b);
-  }
-
-  void reconstruct_solution(WilsonField<Real>& x,
-                            const WilsonField<Real>& b) const {
-    op_.reconstruct_solution(x, b);
-  }
-
-  const WilsonCloverSchurOperator<Real>& schur() const { return op_; }
-
- private:
-  CloverField<Real> twist_;  // must precede op_, which points into it
-  WilsonCloverSchurOperator<Real> op_;
 };
 
 }  // namespace lqcd

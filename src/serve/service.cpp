@@ -38,12 +38,12 @@ int SolveService::resolve_batch_width() const {
   // solver instance: the sweep runs whole solves, and scratch must not
   // alias a live solver's tmp fields.
   const LatticeGeometry& g = u_->geometry();
-  std::unique_ptr<MultiRhsGcrDdWilsonSolver> probe_solver;
+  std::unique_ptr<GcrDdWilsonSolver> probe_solver;
   std::vector<WilsonField<double>> probe_b;
   auto run_with = [&](int width) {
     constexpr int kProbeTotal = 8;
     if (!probe_solver) {
-      probe_solver = std::make_unique<MultiRhsGcrDdWilsonSolver>(
+      probe_solver = std::make_unique<GcrDdWilsonSolver>(
           *u_, clover_, cfg_.solver);
       for (int i = 0; i < kProbeTotal; ++i) {
         probe_b.push_back(gaussian_wilson_source(g, 977u + std::uint64_t(i)));
@@ -89,7 +89,7 @@ void SolveService::shutdown() {
   if (dispatcher_.joinable()) dispatcher_.join();
 }
 
-MultiRhsGcrDdWilsonSolver& SolveService::solver_for(const CompatKey& key) {
+GcrDdWilsonSolver& SolveService::solver_for(const CompatKey& key) {
   auto it = solvers_.find(key);
   if (it == solvers_.end()) {
     GcrDdParams params = cfg_.solver;
@@ -97,7 +97,7 @@ MultiRhsGcrDdWilsonSolver& SolveService::solver_for(const CompatKey& key) {
     params.tol = key.tol;
     params.twisted_mu = key.action == Action::TwistedMass ? key.twisted_mu : 0.0;
     it = solvers_
-             .emplace(key, std::make_unique<MultiRhsGcrDdWilsonSolver>(
+             .emplace(key, std::make_unique<GcrDdWilsonSolver>(
                                *u_, clover_, params))
              .first;
   }
@@ -177,7 +177,7 @@ void SolveService::dispatcher_loop() {
 
 void SolveService::dispatch(std::vector<Pending> batch) {
   ScopedSpan span("serve.dispatch");
-  MultiRhsGcrDdWilsonSolver& solver = solver_for(key_of(batch.front().req));
+  GcrDdWilsonSolver& solver = solver_for(key_of(batch.front().req));
   const auto start = std::chrono::steady_clock::now();
 
   // Soak-harness checkpoint plumbing: pair this dispatch ordinal with the

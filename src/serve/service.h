@@ -7,7 +7,7 @@
 /// deadline-expired requests typed, greedily coalesces compatible
 /// requests (same action/mass/tolerance) into one multi-RHS batch up to
 /// the batch-width policy (tune/batch_policy.h), and dispatches the batch
-/// onto a cached MultiRhsGcrDdWilsonSolver — one per distinct parameter
+/// onto a cached GcrDdWilsonSolver — one per distinct parameter
 /// set, running over the virtual cluster when the solver config names a
 /// rank grid.  Completion futures carry per-request SolverStats attributed
 /// by the block solver itself, so no request ever observes a batch-mate's
@@ -35,7 +35,7 @@
 #include <tuple>
 #include <vector>
 
-#include "core/block_gcr_dd.h"
+#include "core/gcr_dd.h"
 #include "serve/queue.h"
 #include "serve/request.h"
 
@@ -137,7 +137,7 @@ class SolveService {
 
   void dispatcher_loop();
   void dispatch(std::vector<Pending> batch);
-  MultiRhsGcrDdWilsonSolver& solver_for(const CompatKey& key);
+  GcrDdWilsonSolver& solver_for(const CompatKey& key);
   int resolve_batch_width() const;
 
   const GaugeField<double>* u_;
@@ -149,7 +149,7 @@ class SolveService {
   /// dispatcher-thread only.
   std::deque<Pending> carry_;
   /// One cached solver per parameter set; dispatcher-thread only.
-  std::map<CompatKey, std::unique_ptr<MultiRhsGcrDdWilsonSolver>> solvers_;
+  std::map<CompatKey, std::unique_ptr<GcrDdWilsonSolver>> solvers_;
   /// Dispatch ordinal counter (dispatcher-thread only): pairs dispatches
   /// with Config::checkpoint / Config::resume.
   std::uint64_t dispatched_ = 0;

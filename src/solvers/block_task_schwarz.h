@@ -150,6 +150,9 @@ class BlockTaskSchwarzPreconditioner
   /// Link format of the block hops (see dirichlet_recon).
   Reconstruct recon() const { return hop_.recon(); }
 
+  /// Traffic meters of the comms-off block hops, which exchange nothing.
+  const PartitionedTraffic& traffic() const { return hop_.traffic(); }
+
  private:
   /// The block hops, once the block extents are known to be even.
   static PartitionedWilsonClover<Real> block_hops(

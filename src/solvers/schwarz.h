@@ -10,6 +10,16 @@
 /// reductions — no inter-block communication at all, which is the whole
 /// point.  The paper evaluates the preconditioner exclusively in half
 /// precision; pass a half round-trip as \p low_store to reproduce that.
+///
+/// This masked whole-lattice form runs no production solve.  It is the
+/// bitwise reference of BlockTaskSchwarzPreconditioner
+/// (solvers/block_task_schwarz.h), which the GCR-DD solver runs: see
+/// tests/test_gcr_dd.cpp, tests/test_serve.cpp and impl 0 of
+/// BM_SchwarzApply (bench/bench_solvers.cpp).  Over any Dirichlet
+/// operator it is also the additive baseline: bench_schwarz_ablation and
+/// tests/test_extensions.cpp set it against the overlapping and
+/// multiplicative variants, and tests/test_integration.cpp runs it over
+/// the comms-off partitioned operator.
 
 #include <functional>
 
@@ -45,14 +55,9 @@ class SchwarzPreconditioner : public LinearOperator<Field> {
 
   const LatticeGeometry& geometry() const override { return op_->geometry(); }
 
-  /// Total MR steps spent inside the preconditioner since construction or
-  /// the last reset_inner_steps().  Cumulative across applies: callers
-  /// reporting per-solve work (GcrDdWilsonSolver) must difference or reset
-  /// around each solve — see the regression in tests/test_gcr_dd.cpp.
+  /// Total MR steps spent inside the preconditioner since construction,
+  /// cumulative across applies.
   int inner_steps() const { return inner_steps_; }
-
-  /// Zeroes the MR-step tally (start of a metered region).
-  void reset_inner_steps() const { inner_steps_ = 0; }
 
  private:
   const LinearOperator<Field>* op_;

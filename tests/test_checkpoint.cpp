@@ -11,7 +11,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/block_gcr_dd.h"
+#include "core/gcr_dd.h"
 #include "fault/fault.h"
 #include "gauge/configure.h"
 #include "gauge/heatbath.h"
@@ -229,7 +229,7 @@ TEST(CheckpointComponents, MidSolveBlockGcrCaptureSurvivesSerialization) {
   // leaving no open Krylov cycle at a round boundary; a small delta keeps
   // the cycle open so the capture carries basis vectors.
   p.delta = 1e-3;
-  MultiRhsGcrDdWilsonSolver solver(u, nullptr, p);
+  GcrDdWilsonSolver solver(u, nullptr, p);
   const WilsonField<double> b0 = gaussian_wilson_source(g, 43);
   const WilsonField<double> b1 = gaussian_wilson_source(g, 44);
 

@@ -2,9 +2,14 @@
 // path through the public facade.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
+#include "comm/counters.h"
 #include "core/facade.h"
 #include "dirac/staggered.h"
 #include "fields/blas.h"
+#include "gauge/clover_leaf.h"
 #include "gauge/configure.h"
 #include "gauge/heatbath.h"
 
@@ -108,13 +113,44 @@ TEST(Facade, DistributedSolveMatchesSingleDomain) {
   req.block_grid = {1, 1, 2, 2};
 
   WilsonField<double> x_dist(g);
+  const std::uint64_t bytes_before = exchange_counters_snapshot().total_bytes();
   const DistributedSolveOutcome dist =
       solve_wilson_clover_distributed(u, b, x_dist, req, {1, 1, 2, 2});
+  const std::uint64_t bytes_after = exchange_counters_snapshot().total_bytes();
   EXPECT_TRUE(dist.stats.converged);
   EXPECT_LT(dist.true_residual, 1e-5);
   EXPECT_EQ(dist.precond_ghost_bytes, 0u);   // Schwarz is communication-free
   EXPECT_GT(dist.outer_ghost_bytes, 0u);
   EXPECT_GT(dist.gauge_ghost_bytes, 0u);
+  // Every byte the call exchanged is the outer operator's: the Schwarz
+  // preconditioner exchanges nothing.
+  EXPECT_EQ(bytes_after - bytes_before,
+            dist.outer_ghost_bytes + dist.gauge_ghost_bytes);
+
+  // The distributed solve is the GCR-DD solver with one Schwarz block per
+  // virtual GPU, bit for bit.
+  GcrDdParams p;
+  p.mass = req.mass;
+  p.tol = req.tol;
+  p.kmax = req.kmax;
+  p.delta = req.delta;
+  p.mr.steps = req.mr_steps;
+  p.block_grid = {1, 1, 2, 2};
+  p.rank_grid = {{1, 1, 2, 2}};
+  const CloverField<double> a = build_clover_field(u, req.csw);
+  GcrDdWilsonSolver direct(u, &a, p);
+  WilsonField<double> x_direct(g);
+  const SolverStats s = direct.solve(x_direct, b);
+  EXPECT_EQ(dist.stats.iterations, s.iterations);
+  EXPECT_EQ(dist.stats.matvecs, s.matvecs);
+  EXPECT_EQ(dist.stats.restarts, s.restarts);
+  EXPECT_EQ(dist.stats.inner_iterations, s.inner_iterations);
+  EXPECT_EQ(dist.stats.converged, s.converged);
+  EXPECT_EQ(dist.stats.final_residual, s.final_residual);
+  EXPECT_EQ(dist.stats.residual_history, s.residual_history);
+  EXPECT_EQ(std::memcmp(x_dist.sites().data(), x_direct.sites().data(),
+                        x_dist.sites().size_bytes()),
+            0);
 
   WilsonField<double> x_single(g);
   req.kind = WilsonSolverKind::GcrDd;

@@ -544,8 +544,8 @@ TEST(BlockTaskSchwarz, BitwiseMatchesMaskedReference) {
 }
 
 TEST(BlockTaskSchwarz, BatchedBitwiseMatchesMaskedReference) {
-  // apply_multi, the batched preconditioner MultiRhsGcrDdWilsonSolver
-  // runs, over the cases of BitwiseMatchesMaskedReference.  The float
+  // apply_multi, the batched preconditioner GcrDdWilsonSolver's batched
+  // solve runs, over the cases of BitwiseMatchesMaskedReference.  The float
   // widths cover the four-lane SIMD groups of the batched hop (4, 8), a
   // ragged scalar tail (3, 5), width 1 (the interior kernel) and two hop
   // groups (17 > kMaxMultiRhs); the last width, narrower than the one

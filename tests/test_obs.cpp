@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -363,6 +364,51 @@ TEST_F(ObsTest, SolverResultsBitwiseIdenticalWithTracing) {
   axpy(-1.0, *x_off, *x_on);
   EXPECT_EQ(norm2(*x_on), 0.0);
   EXPECT_GT(trace_event_count(), 0u);
+}
+
+TEST_F(ObsTest, GcrDdSpansNameTheEntryPoint) {
+  // perfbench attributes core.prep_ms, solvers.schwarz_self_ms,
+  // dirac.mr_op_ms and dirac.multi_op_ms by these span names: the
+  // single-RHS solve records the single-RHS set, a batch the `_multi` set.
+  // `gcr.solve` is the shared driver's, recorded by both.
+  const LatticeGeometry g({4, 4, 4, 8});
+  const GaugeField<double> u = weak_gauge(g, 143, 0.3);
+  const WilsonField<double> b0 = gaussian_wilson_source(g, 144);
+  const WilsonField<double> b1 = gaussian_wilson_source(g, 145);
+  GcrDdParams p;
+  p.mass = 0.1;
+  p.tol = 1e-3;
+  p.block_grid = {1, 1, 1, 2};
+  GcrDdWilsonSolver solver(u, nullptr, p);
+
+  const std::vector<std::string> single = {"gcrdd.solve", "schwarz.apply",
+                                           "mr.op"};
+  const std::vector<std::string> batched = {
+      "block_gcrdd.solve", "schwarz.apply_multi", "mr.op_multi"};
+  auto traced = [](const std::function<void()>& solve) {
+    reset_trace();
+    set_trace_enabled(true);
+    solve();
+    set_trace_enabled(false);
+    std::set<std::string> names;
+    for (const SpanEvent& s : trace_events()) names.insert(s.name);
+    return names;
+  };
+
+  WilsonField<double> x0(g), x1(g);
+  const std::set<std::string> one =
+      traced([&] { solver.solve(x0, b0); });
+  EXPECT_TRUE(one.count("gcr.solve"));
+  for (const std::string& name : single) EXPECT_TRUE(one.count(name)) << name;
+  for (const std::string& name : batched) {
+    EXPECT_FALSE(one.count(name)) << name;
+  }
+
+  const std::set<std::string> two =
+      traced([&] { solver.solve({&x0, &x1}, {&b0, &b1}); });
+  EXPECT_TRUE(two.count("gcr.solve"));
+  for (const std::string& name : batched) EXPECT_TRUE(two.count(name)) << name;
+  for (const std::string& name : single) EXPECT_FALSE(two.count(name)) << name;
 }
 
 // ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "comm/virtual_cluster.h"
-#include "core/block_gcr_dd.h"
 #include "core/gcr_dd.h"
 #include "dirac/even_odd.h"
 #include "dirac/multi_rhs.h"
@@ -196,8 +195,6 @@ TEST(BlockSolvers, BlockGcrBitwiseMatchesGcr) {
   const GaugeField<float> u_f = convert_gauge<float>(u);
   const CloverField<float> a_f = convert_clover<float>(a);
   WilsonCloverSchurOperator<float> op(u_f, &a_f, 0.1);
-  NativeMultiRhsOperator<WilsonField<float>, WilsonCloverSchurOperator<float>>
-      multi(op);
 
   constexpr int kN = 3;
   std::vector<WilsonField<float>> b;
@@ -227,7 +224,7 @@ TEST(BlockSolvers, BlockGcrBitwiseMatchesGcr) {
   }
   const BlockPreconditioner<WilsonField<float>>* no_precond = nullptr;
   const std::vector<SolverStats> block =
-      block_gcr_solve(multi, xs, bs, no_precond, gp);
+      block_gcr_solve(op, xs, bs, no_precond, gp);
 
   for (int r = 0; r < kN; ++r) {
     WilsonField<float> x(g);
@@ -256,7 +253,7 @@ TEST(BlockSolvers, BlockGcrBitwiseMatchesGcr) {
   pp.kmax = 8;
   for (int r = 0; r < kN; ++r) set_zero(x_block[std::size_t(r)]);
   const std::vector<SolverStats> pblock =
-      block_gcr_solve(multi, xs, bs, &batched_k, pp, store);
+      block_gcr_solve(op, xs, bs, &batched_k, pp, store);
   for (int r = 0; r < kN; ++r) {
     WilsonField<float> x(g);
     set_zero(x);
@@ -299,7 +296,7 @@ TEST(BlockSolvers, BlockGcrDdMatchesSingleAcrossRankModes) {
     const RankMode prev = rank_mode();
     set_rank_mode(mode);
 
-    MultiRhsGcrDdWilsonSolver block_solver(u, &a, p);
+    GcrDdWilsonSolver block_solver(u, &a, p);
     std::vector<WilsonField<double>> x_block;
     std::vector<WilsonField<double>*> xs;
     std::vector<const WilsonField<double>*> bs;

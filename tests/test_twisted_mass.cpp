@@ -15,6 +15,7 @@
 #include "comm/virtual_cluster.h"
 #include "core/gcr_dd.h"
 #include "dirac/dense_reference.h"
+#include "dirac/even_odd.h"
 #include "dirac/twisted_mass.h"
 #include "dirac/wilson_ops.h"
 #include "fields/blas.h"
@@ -154,7 +155,10 @@ TEST(TwistedMass, SchurOperatorConsistentWithFull) {
   const double mass = 0.15, mu = 0.3;
 
   TwistedMassOperator<double> full(u, &a, mass, mu);
-  TwistedMassSchurOperator<double> schur(u, &a, mass, mu);
+  // The Schur operator on the twist-augmented clover field, as GCR-DD
+  // builds it from GcrDdParams::twisted_mu.
+  const CloverField<double> twist = twisted_clover<double>(g, &a, mu);
+  WilsonCloverSchurOperator<double> schur(u, &twist, mass);
 
   const WilsonField<double> x = gaussian_wilson_source(g, 182);
   WilsonField<double> b(g);
