@@ -14,6 +14,7 @@
 #include "dirac/even_odd.h"
 #include "dirac/multi_rhs.h"
 #include "dirac/partitioned.h"
+#include "dirac/partitioned_schur.h"
 #include "dirac/recon_policy.h"
 #include "dirac/soa_kernel.h"
 #include "dirac/staggered.h"
@@ -401,7 +402,13 @@ void BM_PartitionedWilson(benchmark::State& state) {
   state.SetLabel(rank_mode_name(mode));
   set_rank_mode(prev);
 }
-BENCHMARK(BM_PartitionedWilson)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+// The partitioned benches run their ranks on threads other than the
+// timing thread, so time (and the Mflops rate) is wall-clock: real_time.
+BENCHMARK(BM_PartitionedWilson)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_PartitionedWilsonHalfGhost(benchmark::State& state) {
   // The same virtual-cluster dslash with precision-truncated ghost faces
@@ -445,7 +452,8 @@ void BM_PartitionedWilsonHalfGhost(benchmark::State& state) {
 BENCHMARK(BM_PartitionedWilsonHalfGhost)
     ->Arg(0)
     ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_PartitionedWilsonReconGhost(benchmark::State& state) {
   // The joint wire compression: unit-form reconstruction *and* half
@@ -495,7 +503,49 @@ void BM_PartitionedWilsonReconGhost(benchmark::State& state) {
 BENCHMARK(BM_PartitionedWilsonReconGhost)
     ->Arg(0)
     ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+void BM_PartitionedSchurApply(benchmark::State& state) {
+  // The whole even-odd operator M_hat on an L^4 float lattice (arg0 = L)
+  // over a {1,1,2,2} rank grid, the dslash-halfwire operator: each rank
+  // copies its own parity in and out and applies its clover terms inside
+  // its task.  arg1 selects the rank runtime (0 = seq, 1 = threads).
+  const int l = static_cast<int>(state.range(0));
+  const RankMode mode = state.range(1) == 0 ? RankMode::Seq : RankMode::Threads;
+  const RankMode prev = rank_mode();
+  set_rank_mode(mode);
+  const LatticeGeometry g({l, l, l, l});
+  const GaugeField<double> u = hot_gauge(g, 7);
+  const CloverField<float> clover =
+      convert_clover<float>(build_clover_field(u, 1.0));
+  const PartitionedWilsonCloverSchur<float> op(
+      Partitioning(g, {1, 1, 2, 2}), convert_gauge<float>(u), &clover, -0.2);
+  WilsonField<float> in = convert_field<float>(gaussian_wilson_source(g, 8));
+  for (auto& v : in.parity_span(Parity::Odd)) v = WilsonSpinor<float>{};
+  WilsonField<float> out(g);
+  // One untimed apply runs the tune sweeps.
+  op.apply(out, in);
+  for (auto _ : state) {
+    op.apply(out, in);
+    benchmark::DoNotOptimize(out.sites().data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["Mflops"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) *
+          dslash_flops_per_site(StencilKind::WilsonClover) *
+          static_cast<double>(g.volume()) / 1e6,
+      benchmark::Counter::kIsRate);
+  state.SetLabel(rank_mode_name(mode));
+  set_rank_mode(prev);
+}
+BENCHMARK(BM_PartitionedSchurApply)
+    ->Args({8, 0})
+    ->Args({8, 1})
+    ->Args({16, 0})
+    ->Args({16, 1})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_DirichletWilsonHop(benchmark::State& state) {
   // The Schwarz preconditioner's kernel: hopping with the block cut.

@@ -1,19 +1,26 @@
 #pragma once
 /// \file domain_map.h
-/// \brief Fast scatter/gather between a global field and the per-rank local
-/// fields of a Partitioning.
+/// \brief Fast copies between a global field and the per-rank local fields
+/// of a Partitioning.
 ///
 /// The map precomputes, for every rank, the global even-odd index of each
-/// local even-odd site, so scatter and gather are single passes of indexed
-/// copies.  This is the virtual-cluster substitute for the initial data
-/// distribution an MPI job performs when loading a configuration.
+/// local even-odd site, so every copy is one pass of indexed site copies.
+/// The per-rank copies (`scatter(r, ...)`, `gather(r, ...)`) are what a
+/// partitioned operator's rank task runs on its own sites — optionally one
+/// parity only — so the caller never assembles the whole field; the
+/// whole-field scatter/gather are those copies over every rank, the
+/// virtual-cluster substitute for the initial data distribution an MPI job
+/// performs when loading a configuration.  Local extents are even
+/// (Partitioning), so a local site's parity is its global site's.
 
 #include <algorithm>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "fields/lattice_field.h"
 #include "lattice/partition.h"
+#include "util/parallel_for.h"
 
 namespace lqcd {
 
@@ -40,10 +47,59 @@ class DomainMap {
     return maps_[static_cast<std::size_t>(rank)];
   }
 
+  /// fn(i, s) for every local site i of rank \p r — only those of parity
+  /// \p p when set — with s its global even-odd index.  The one site loop
+  /// of every copy: it runs on parallel_for's default grid (inline inside
+  /// a rank task), so \p fn must write only site i or site s.
+  template <typename Fn>
+  void for_sites(int r, std::optional<Parity> p, Fn&& fn) const {
+    const auto map = rank_map(r);
+    const auto h = static_cast<std::int64_t>(map.size()) / 2;
+    const std::int64_t begin = p == Parity::Odd ? h : 0;
+    const std::int64_t n = p.has_value() ? h : 2 * h;
+    parallel_for(n, [&](std::int64_t idx) {
+      const std::int64_t i = begin + idx;
+      fn(i, map[static_cast<std::size_t>(i)]);
+    });
+  }
+
+  /// Copies rank \p r's sites of \p global into its local field \p local:
+  /// all of them, or with \p p set only that parity (the other parity of
+  /// \p local keeps its contents).
+  template <typename Site>
+  void scatter(int r, const LatticeField<Site>& global,
+               LatticeField<Site>& local,
+               std::optional<Parity> p = std::nullopt) const {
+    const auto src = global.sites();
+    const auto dst = local.sites();
+    for_sites(r, p, [&](std::int64_t i, std::int64_t s) {
+      dst[static_cast<std::size_t>(i)] = src[static_cast<std::size_t>(s)];
+    });
+  }
+
+  /// Copies rank \p r's local field into its sites of \p global.  With \p p
+  /// set only that parity is copied and the rank's sites of the other
+  /// parity are set to +0, so the field reads as \p local with its other
+  /// parity zeroed.
+  template <typename Site>
+  void gather(int r, const LatticeField<Site>& local,
+              LatticeField<Site>& global,
+              std::optional<Parity> p = std::nullopt) const {
+    const auto src = local.sites();
+    const auto dst = global.sites();
+    for_sites(r, p, [&](std::int64_t i, std::int64_t s) {
+      dst[static_cast<std::size_t>(s)] = src[static_cast<std::size_t>(i)];
+    });
+    if (p.has_value()) {
+      for_sites(r, opposite(*p), [&](std::int64_t, std::int64_t s) {
+        dst[static_cast<std::size_t>(s)] = Site{};
+      });
+    }
+  }
+
   /// Splits \p global into per-rank local fields.  \p locals is resized
   /// only when its count or local geometry differs; otherwise every field
-  /// keeps its storage and is overwritten in place (operators scatter on
-  /// every apply).
+  /// keeps its storage and is overwritten in place.
   template <typename Site>
   void scatter(const LatticeField<Site>& global,
                std::vector<LatticeField<Site>>& locals) const {
@@ -59,12 +115,7 @@ class DomainMap {
       for (std::size_t r = 0; r < nr; ++r) locals.emplace_back(part_.local());
     }
     for (int r = 0; r < part_.num_ranks(); ++r) {
-      auto dst = locals[static_cast<std::size_t>(r)].sites();
-      auto map = rank_map(r);
-      auto src = global.sites();
-      for (std::size_t i = 0; i < dst.size(); ++i) {
-        dst[i] = src[static_cast<std::size_t>(map[i])];
-      }
+      scatter(r, global, locals[static_cast<std::size_t>(r)]);
     }
   }
 
@@ -72,13 +123,8 @@ class DomainMap {
   template <typename Site>
   void gather(const std::vector<LatticeField<Site>>& locals,
               LatticeField<Site>& global) const {
-    auto dst = global.sites();
     for (int r = 0; r < part_.num_ranks(); ++r) {
-      auto src = locals[static_cast<std::size_t>(r)].sites();
-      auto map = rank_map(r);
-      for (std::size_t i = 0; i < src.size(); ++i) {
-        dst[static_cast<std::size_t>(map[i])] = src[i];
-      }
+      gather(r, locals[static_cast<std::size_t>(r)], global);
     }
   }
 
@@ -89,14 +135,12 @@ class DomainMap {
     locals.clear();
     locals.reserve(static_cast<std::size_t>(part_.num_ranks()));
     for (int r = 0; r < part_.num_ranks(); ++r) {
-      locals.emplace_back(part_.local());
-      auto map = rank_map(r);
-      for (int mu = 0; mu < kNDim; ++mu) {
-        for (std::size_t i = 0; i < map.size(); ++i) {
-          locals.back().link(mu, static_cast<std::int64_t>(i)) =
-              global.link(mu, map[i]);
+      GaugeField<Real>& local = locals.emplace_back(part_.local());
+      for_sites(r, std::nullopt, [&](std::int64_t i, std::int64_t s) {
+        for (int mu = 0; mu < kNDim; ++mu) {
+          local.link(mu, i) = global.link(mu, s);
         }
-      }
+      });
     }
   }
 

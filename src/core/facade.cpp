@@ -20,6 +20,19 @@ GcrDdParams params_of(const WilsonSolveRequest& req) {
   return p;
 }
 
+/// |b - M x| / |b| for the Wilson-clover operator with clover term \p a
+/// (null: plain Wilson), in double precision.
+double residual(const GaugeField<double>& u, const CloverField<double>* a,
+                double mass, const WilsonField<double>& x,
+                const WilsonField<double>& b) {
+  WilsonCloverOperator<double> m(u, a, mass);
+  WilsonField<double> r(b.geometry());
+  m.apply(r, x);
+  scale(-1.0, r);
+  axpy(1.0, b, r);
+  return std::sqrt(norm2(r) / norm2(b));
+}
+
 }  // namespace
 
 WilsonSolveOutcome solve_wilson_clover(const GaugeField<double>& u,
@@ -42,7 +55,7 @@ WilsonSolveOutcome solve_wilson_clover(const GaugeField<double>& u,
     MixedBiCgStabWilsonSolver solver(u, clover ? &*clover : nullptr, p);
     out.stats = solver.solve(x, b);
   }
-  out.true_residual = wilson_clover_residual(u, req.mass, req.csw, x, b);
+  out.true_residual = residual(u, clover ? &*clover : nullptr, req.mass, x, b);
   return out;
 }
 
@@ -59,7 +72,7 @@ DistributedSolveOutcome solve_wilson_clover_distributed(
 
   DistributedSolveOutcome out;
   out.stats = solver.solve(x, b);
-  out.true_residual = wilson_clover_residual(u, req.mass, req.csw, x, b);
+  out.true_residual = residual(u, clover ? &*clover : nullptr, req.mass, x, b);
   const PartitionedTraffic& outer = solver.partitioned_operator()->traffic();
   out.outer_ghost_bytes = outer.spinor.total_bytes();
   out.gauge_ghost_bytes = outer.gauge.total_bytes();
@@ -85,12 +98,7 @@ double wilson_clover_residual(const GaugeField<double>& u, double mass,
                               const WilsonField<double>& b) {
   std::optional<CloverField<double>> clover;
   if (csw != 0.0) clover = build_clover_field(u, csw);
-  WilsonCloverOperator<double> m(u, clover ? &*clover : nullptr, mass);
-  WilsonField<double> r(b.geometry());
-  m.apply(r, x);
-  scale(-1.0, r);
-  axpy(1.0, b, r);
-  return std::sqrt(norm2(r) / norm2(b));
+  return residual(u, clover ? &*clover : nullptr, mass, x, b);
 }
 
 }  // namespace lqcd

@@ -93,15 +93,18 @@ class GcrDdWilsonSolver {
  public:
   GcrDdWilsonSolver(const GaugeField<double>& u,
                     const CloverField<double>* clover, GcrDdParams params)
-      : params_(params), u_single_(convert_gauge<float>(u)),
-        clover_single_(single_clover(u.geometry(), clover, params)) {
-    const CloverField<float>* a = clover_single_ ? &*clover_single_ : nullptr;
+      : params_(params), u_single_(convert_gauge<float>(u)) {
+    // Every operator keeps what it needs of the clover term (its diagonal
+    // blocks), so the single-precision copy lives only while they are built.
+    const std::optional<CloverField<float>> clover_single =
+        single_clover(u.geometry(), clover, params);
+    const CloverField<float>* a = clover_single ? &*clover_single : nullptr;
     if (params.rank_grid) {
       op_part_ = std::make_unique<PartitionedWilsonCloverSchur<float>>(
-          Partitioning(u.geometry(), *params.rank_grid), u_single_, a,
+          Partitioning(u.geometry(), *params.rank_grid), *u_single_, a,
           params.mass);
     } else {
-      op_ = std::make_unique<WilsonCloverSchurOperator<float>>(u_single_, a,
+      op_ = std::make_unique<WilsonCloverSchurOperator<float>>(*u_single_, a,
                                                                params.mass);
     }
     // The block hops keep their own copy of the links, so the half
@@ -109,12 +112,15 @@ class GcrDdWilsonSolver {
     // they are built.
     std::optional<GaugeField<float>> u_half;
     if (params.half_preconditioner) {
-      u_half.emplace(u_single_);
+      u_half.emplace(*u_single_);
       half_roundtrip(*u_half);
     }
     precond_ = std::make_unique<BlockTaskSchwarzPreconditioner<float>>(
-        u_half ? *u_half : u_single_, a, params.mass, params.block_grid,
+        u_half ? *u_half : *u_single_, a, params.mass, params.block_grid,
         params.mr, store(params.half_preconditioner));
+    // The partitioned operator holds its own per-rank links; only the
+    // single-domain operator keeps pointing at these.
+    if (op_part_) u_single_.reset();
   }
 
   /// Solves M x = b (both on the full lattice, double precision I/O): the
@@ -257,8 +263,8 @@ class GcrDdWilsonSolver {
   }
 
   GcrDdParams params_;
-  GaugeField<float> u_single_;
-  std::optional<CloverField<float>> clover_single_;
+  /// The single-precision links; released once built with a rank grid.
+  std::optional<GaugeField<float>> u_single_;
   std::unique_ptr<WilsonCloverSchurOperator<float>> op_;
   std::unique_ptr<PartitionedWilsonCloverSchur<float>> op_part_;
   std::unique_ptr<BlockTaskSchwarzPreconditioner<float>> precond_;

@@ -19,9 +19,11 @@
 ///
 /// Execution modes (comm/virtual_cluster.h): under `LQCD_RANK_MODE=threads`
 /// (the default) every rank runs as its own thread and the apply executes
-/// the Fig. 4 overlap schedule for real — gather faces, post the sends on
-/// the channel mesh, run the interior kernel *while the messages are in
-/// flight*, then wait for the ghosts and run the exterior kernels.  The
+/// the Fig. 4 overlap schedule for real — copy its own sites in, gather
+/// faces, post the sends on the channel mesh, run the interior kernel
+/// *while the messages are in flight*, wait for the ghosts, run the
+/// exterior kernels and any per-rank epilogue, and copy its own sites
+/// out; the caller never sweeps the global field.  The
 /// measured per-rank phase times are accumulated in OverlapStats.  Under
 /// `seq` the ranks execute one after another through the reference
 /// exchange; both modes are bitwise identical (asserted in tests).  The
@@ -30,6 +32,7 @@
 /// body (dirac/wilson_kernel.h) with ghost entries as dropped legs.
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -114,9 +117,9 @@ inline void accumulate(OverlapStats& stats,
   }
 }
 
-/// Per-rank staging of a partitioned operator: each rank's scattered
-/// source and local result, its spinor ghost zones, and the operator's
-/// traffic and overlap meters.
+/// Per-rank staging of a partitioned operator: each rank's copy of its
+/// source sites and its local result, its spinor ghost zones, and the
+/// operator's traffic and overlap meters.
 template <typename Site, typename Ghost>
 struct RankStaging {
   std::vector<LatticeField<Site>> in;
@@ -126,42 +129,69 @@ struct RankStaging {
   OverlapStats overlap;
 };
 
+/// A per-rank step run on rank r's local result after its exterior
+/// kernels and before its copy-out: epilogue(r, local_out).
+template <typename Site>
+using RankEpilogue = std::function<void(int, LatticeField<Site>&)>;
+
 /// The partitioned apply of §6.2, shared by the Wilson and staggered
-/// operators: scatter \p in to the ranks, evaluate the stencil as
-/// `interior(r)` plus one `exterior(r, mu)` per partitioned dimension, and
-/// gather the rank results into \p out.  Faces carry \p source parity
-/// sites only, when set, packed by \p Packer and sent in \p wire format.
+/// operators.  Each rank copies its own sites of \p in into its staging
+/// field, evaluates the stencil as `interior(r)` plus one `exterior(r, mu)`
+/// per partitioned dimension, runs \p epilogue (when set) on its local
+/// result, and copies that result out into its own sites of \p out; the
+/// caller never touches the whole field.  With \p target set, faces carry
+/// the source (opposite) parity only, packed by \p Packer and sent in
+/// \p wire format; each rank copies in only its source-parity sites, and
+/// copies out only its target-parity sites, writing +0 to its other
+/// sites of \p out.  Otherwise every site is copied both ways.
 ///
 /// Under `threads` every rank runs as a task through the Fig. 4 schedule:
-/// post its faces, compute the interior while the messages are in flight,
-/// wait for the ghosts, then apply the exterior kernels in fixed mu order
-/// (the corner-site dependency is rank-local, so ranks never need a
-/// barrier between phases); each rank's phase times land in
-/// `st.overlap`.  Under `seq`, or inside a rank task, the reference
-/// exchange runs first, then every interior, then the exteriors dimension
-/// by dimension.  Both orders write the same bits.  With \p comms off
-/// only the interiors run: the Dirichlet-cut operator.
+/// copy in, post its faces, compute the interior while the messages are
+/// in flight, wait for the ghosts, apply the exterior kernels in fixed mu
+/// order (the corner-site dependency is rank-local, so ranks never need a
+/// barrier between phases), then the epilogue and the copy-out; each
+/// rank's phase times land in `st.overlap`.  Under `seq`, or inside a rank
+/// task, every rank copies in, the reference exchange runs, then every
+/// interior, the exteriors dimension by dimension, and each rank's
+/// epilogue and copy-out.  Both orders write the same bits.  With \p comms
+/// off only the interiors run: the Dirichlet-cut operator.
 template <typename Packer, typename Site, typename Interior,
           typename Exterior>
 void run_partitioned(const DomainMap& map, const NeighborTable& nt,
-                     bool comms, std::optional<Parity> source,
+                     bool comms, std::optional<Parity> target,
                      WireFormat wire,
                      RankStaging<Site, typename Packer::ghost_type>& st,
                      LatticeField<Site>& out, const LatticeField<Site>& in,
-                     const Interior& interior, const Exterior& exterior) {
+                     const Interior& interior, const Exterior& exterior,
+                     const RankEpilogue<Site>& epilogue = nullptr) {
   const Partitioning& part = map.partitioning();
   const int nr = part.num_ranks();
+  const auto n = static_cast<std::size_t>(nr);
+  std::optional<Parity> source;
+  if (target.has_value()) source = opposite(*target);
   st.traffic.applications += 1;
-  map.scatter(in, st.in);
-  if (st.out.size() != st.in.size()) {
-    st.out.assign(st.in.size(), LatticeField<Site>(part.local()));
-  }
+  if (st.in.size() != n) st.in.assign(n, LatticeField<Site>(part.local()));
+  if (st.out.size() != n) st.out.assign(n, LatticeField<Site>(part.local()));
+  const auto copy_in = [&](int r) {
+    ScopedSpan span("dslash.scatter");
+    map.scatter(r, in, st.in[static_cast<std::size_t>(r)], source);
+  };
+  const auto finish = [&](int r) {
+    auto& local = st.out[static_cast<std::size_t>(r)];
+    if (epilogue) {
+      ScopedSpan span("dslash.epilogue");
+      epilogue(r, local);
+    }
+    ScopedSpan span("dslash.gather");
+    map.gather(r, local, out, target);
+  };
   if (rank_mode() == RankMode::Threads && !in_rank_task()) {
-    std::vector<OverlapSample> samples(static_cast<std::size_t>(nr));
+    std::vector<OverlapSample> samples(n);
     if (comms) {
       AsyncGhostExchange<Packer, Site> ex(part, nt, st.in, st.ghosts, source,
                                          wire);
       run_ranks(nr, [&](int r) {
+        copy_in(r);
         auto& sample = samples[static_cast<std::size_t>(r)];
         Stopwatch sw;
         {
@@ -187,20 +217,26 @@ void run_partitioned(const DomainMap& map, const NeighborTable& nt,
         }
         sample.exterior_s =
             sw.seconds() - sample.post_s - sample.interior_s - sample.wait_s;
+        finish(r);
       });
       const ExchangeCounters delta = ex.total_sent();
       st.traffic.spinor += delta;
       account_exchange(delta);
     } else {
       run_ranks(nr, [&](int r) {
+        copy_in(r);
         Stopwatch sw;
-        ScopedSpan span("dslash.interior");
-        interior(r);
+        {
+          ScopedSpan span("dslash.interior");
+          interior(r);
+        }
         samples[static_cast<std::size_t>(r)].interior_s = sw.seconds();
+        finish(r);
       });
     }
     accumulate(st.overlap, samples);
   } else {
+    for (int r = 0; r < nr; ++r) copy_in(r);
     if (comms) {
       ScopedSpan span("dslash.exchange");
       exchange_ghosts<Packer>(part, nt, st.in, st.ghosts, &st.traffic.spinor,
@@ -215,8 +251,8 @@ void run_partitioned(const DomainMap& map, const NeighborTable& nt,
         for (int r = 0; r < nr; ++r) exterior(r, mu);
       }
     }
+    for (int r = 0; r < nr; ++r) finish(r);
   }
-  map.gather(st.out, out);
 }
 }  // namespace detail
 
@@ -340,11 +376,17 @@ class PartitionedWilsonClover : public LinearOperator<WilsonField<Real>> {
 
   /// Hopping term only (D in), restricted to \p target parity sites — the
   /// building block of the even-odd preconditioned system.  Ghost exchange
-  /// packs only source-parity sites (half the payload).  Non-target sites
-  /// of \p out are zeroed.
+  /// packs only source-parity sites (half the payload), and only those
+  /// sites of \p in are read.  Non-target sites of \p out are zeroed.
+  /// \p epilogue, when set, runs in each rank's task on its local hop
+  /// result (local even-odd indices, domain_map().rank_map(r) to global)
+  /// before that result is copied into \p out: the Schur operator's
+  /// clover terms.
   void apply_hop(WilsonField<Real>& out, const WilsonField<Real>& in,
-                 Parity target) const {
-    run(out, in, target, /*hop_only=*/true);
+                 Parity target,
+                 const detail::RankEpilogue<WilsonSpinor<Real>>& epilogue =
+                     nullptr) const {
+    run(out, in, target, /*hop_only=*/true, epilogue);
   }
 
   /// Rank-local hopping term on rank \p r's sublattice: out = D in on the
@@ -358,6 +400,8 @@ class PartitionedWilsonClover : public LinearOperator<WilsonField<Real>> {
   /// site loop runs inline and untuned.
   void apply_hop_local(int r, WilsonField<Real>& out,
                        const WilsonField<Real>& in, Parity target) const {
+    const auto rest = out.parity_span(opposite(target));
+    std::fill(rest.begin(), rest.end(), WilsonSpinor<Real>{});
     interior_kernel(r, in, out, target, /*hop_only=*/true);
   }
 
@@ -379,7 +423,7 @@ class PartitionedWilsonClover : public LinearOperator<WilsonField<Real>> {
     const std::int64_t h = local.half_volume();
     const std::int64_t begin = target == Parity::Odd ? h : 0;
     for (WilsonField<Real>* out : outs) {
-      // The other parity is zeroed, as in the interior kernel.
+      // The other parity is zeroed, as in the width-1 call.
       const auto rest = out->parity_span(opposite(target));
       std::fill(rest.begin(), rest.end(), WilsonSpinor<Real>{});
     }
@@ -410,13 +454,14 @@ class PartitionedWilsonClover : public LinearOperator<WilsonField<Real>> {
 
  private:
   void run(WilsonField<Real>& out, const WilsonField<Real>& in,
-           std::optional<Parity> target, bool hop_only) const {
-    std::optional<Parity> source;
-    if (target.has_value()) source = opposite(*target);
+           std::optional<Parity> target, bool hop_only,
+           const detail::RankEpilogue<WilsonSpinor<Real>>& epilogue =
+               nullptr) const {
     detail::run_partitioned<WilsonProjectPacker<Real>>(
-        map_, nt_, comms_, source, ghost_wire_, st_, out, in,
+        map_, nt_, comms_, target, ghost_wire_, st_, out, in,
         [&](int r) { interior_kernel(r, target, hop_only); },
-        [&](int r, int mu) { exterior_kernel(r, mu, target, hop_only); });
+        [&](int r, int mu) { exterior_kernel(r, mu, target, hop_only); },
+        epilogue);
   }
 
  public:
@@ -480,9 +525,10 @@ class PartitionedWilsonClover : public LinearOperator<WilsonField<Real>> {
   }
 
   /// Diagonal + all hopping contributions whose neighbour is rank-local.
-  /// With \p target set only that parity is computed (others zeroed);
-  /// \p hop_only drops the (4 + m + A) diagonal and the -1/2 factor,
-  /// producing the raw hopping sum D in.
+  /// With \p target set only that parity is computed (the other parity of
+  /// \p out is left as it is: the copy-out zeroes it globally, the local
+  /// hops zero it themselves); \p hop_only drops the (4 + m + A) diagonal
+  /// and the -1/2 factor, producing the raw hopping sum D in.
   template <typename Gauge>
   void interior_impl(const Gauge& u, int r, const WilsonField<Real>& in,
                      WilsonField<Real>& out, std::optional<Parity> target,
@@ -498,12 +544,6 @@ class PartitionedWilsonClover : public LinearOperator<WilsonField<Real>> {
     const std::int64_t end =
         target.has_value() && *target == Parity::Even ? local.half_volume()
                                                       : local.volume();
-    // The loop below writes every target site; only the other parity
-    // needs zeroing.
-    if (target.has_value()) {
-      const auto rest = out.parity_span(opposite(*target));
-      std::fill(rest.begin(), rest.end(), WilsonSpinor<Real>{});
-    }
     const WilsonSpinor<Real>* psi = in.sites().data();
     // Sites are written independently; the loop granularity is autotuned
     // (shared across ranks: every rank has the same local volume, so rank 0

@@ -5,14 +5,38 @@
 /// paper's production solvers run on the cluster: every parity hop
 /// exchanges ghost zones (half the face payload, since only source-parity
 /// sites travel), and the traffic meters record it.
+///
+/// As on the paper's GPUs, each rank applies the whole operator to its own
+/// subvolume: the clover terms run as the hops' per-rank epilogues, on one
+/// per-rank field holding A_ee on even sites and A_oo^{-1} on odd sites,
+/// so the caller neither sweeps the global field nor keeps a global copy
+/// of the clover term.
 
-#include <memory>
+#include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "dirac/partitioned.h"
 #include "fields/clover.h"
-#include "util/parallel_for.h"
 
 namespace lqcd {
+
+/// The diagonal blocks of the Schur system on rank \p r of \p map, in its
+/// local even-odd order: A_ee = 4 + m + A on even sites and A_oo^{-1} on
+/// odd sites (\p a may be null: plain Wilson).
+template <typename Real>
+CloverField<Real> schur_diagonal(const DomainMap& map, int r,
+                                 const CloverField<Real>* a, double mass) {
+  const LatticeGeometry& local = map.partitioning().local();
+  const Real d = static_cast<Real>(4.0 + mass);
+  CloverField<Real> out(local);
+  map.for_sites(r, std::nullopt, [&](std::int64_t i, std::int64_t s) {
+    CloverSite<Real> cs = a != nullptr ? a->at(s) : CloverSite<Real>{};
+    cs = clover_add_diagonal(cs, d);
+    out.at(i) = i < local.half_volume() ? cs : clover_invert(cs);
+  });
+  return out;
+}
 
 /// M_hat = A_ee - (1/4) D_eo A_oo^{-1} D_oe with D applied by the
 /// multi-dimensionally partitioned stencil.
@@ -23,85 +47,90 @@ class PartitionedWilsonCloverSchur : public LinearOperator<WilsonField<Real>> {
                                const GaugeField<Real>& u,
                                const CloverField<Real>* a, double mass,
                                bool comms = true)
-      : hop_(part, u, a, mass, comms), tmp_(part.global()),
-        diag_(part.global()), inv_diag_(part.global()) {
-    const Real d = static_cast<Real>(4.0 + mass);
-    const LatticeGeometry& g = part.global();
-    for (std::int64_t s = 0; s < g.volume(); ++s) {
-      CloverSite<Real> cs = a != nullptr ? a->at(s) : CloverSite<Real>{};
-      cs = clover_add_diagonal(cs, d);
-      diag_.at(s) = cs;
-      inv_diag_.at(s) = clover_invert(cs);
+      : hop_(part, u, nullptr, mass, comms), tmp_(part.global()) {
+    clover_.reserve(static_cast<std::size_t>(part.num_ranks()));
+    for (int r = 0; r < part.num_ranks(); ++r) {
+      clover_.push_back(schur_diagonal(hop_.domain_map(), r, a, mass));
     }
   }
 
   void apply(WilsonField<Real>& out, const WilsonField<Real>& in) const override {
     this->count_application();
     // tmp_o = A_oo^{-1} D_oe in_e.
-    hop_.apply_hop(tmp_, in, Parity::Odd);
-    for_parity(Parity::Odd, [&](std::int64_t s) {
-      tmp_.at(s) = clover_apply(inv_diag_.at(s), tmp_.at(s));
+    hop_.apply_hop(tmp_, in, Parity::Odd, [&](int r, WilsonField<Real>& o) {
+      const CloverField<Real>& a = clover(r);
+      map().for_sites(r, Parity::Odd, [&](std::int64_t i, std::int64_t) {
+        o.at(i) = clover_apply(a.at(i), o.at(i));
+      });
     });
     // out_e = A_ee in_e - (1/4) D_eo tmp_o.
-    hop_.apply_hop(out, tmp_, Parity::Even);
-    for_parity(Parity::Even, [&](std::int64_t s) {
-      WilsonSpinor<Real> v = clover_apply(diag_.at(s), in.at(s));
-      WilsonSpinor<Real> h = out.at(s);
-      h *= Real(-0.25);
-      v += h;
-      out.at(s) = v;
+    hop_.apply_hop(out, tmp_, Parity::Even, [&](int r, WilsonField<Real>& o) {
+      const CloverField<Real>& a = clover(r);
+      map().for_sites(r, Parity::Even, [&](std::int64_t i, std::int64_t s) {
+        WilsonSpinor<Real> v = clover_apply(a.at(i), in.at(s));
+        WilsonSpinor<Real> h = o.at(i);
+        h *= Real(-0.25);
+        v += h;
+        o.at(i) = v;
+      });
     });
   }
 
   const LatticeGeometry& geometry() const override { return hop_.geometry(); }
 
-  /// b_hat_e = b_e + (1/2) D_eo A_oo^{-1} b_o.
+  /// b_hat_e = b_e + (1/2) D_eo A_oo^{-1} b_o (b_hat_o = 0).
   void prepare_source(WilsonField<Real>& b_hat,
                       const WilsonField<Real>& b) const {
-    tmp_.set_zero();
-    for_parity(Parity::Odd, [&](std::int64_t s) {
-      tmp_.at(s) = clover_apply(inv_diag_.at(s), b.at(s));
+    // tmp_o = A_oo^{-1} b_o from each rank's clover field; the even hop
+    // reads only tmp_'s odd sites.  Once per solve, so it runs on the
+    // caller's pool rather than as a rank run of its own.
+    for (int r = 0; r < partitioning().num_ranks(); ++r) {
+      const CloverField<Real>& a = clover(r);
+      map().for_sites(r, Parity::Odd, [&](std::int64_t i, std::int64_t s) {
+        tmp_.at(s) = clover_apply(a.at(i), b.at(s));
+      });
+    }
+    hop_.apply_hop(b_hat, tmp_, Parity::Even, [&](int r, WilsonField<Real>& o) {
+      map().for_sites(r, Parity::Even, [&](std::int64_t i, std::int64_t s) {
+        WilsonSpinor<Real> v = o.at(i);
+        v *= Real(0.5);
+        v += b.at(s);
+        o.at(i) = v;
+      });
     });
-    hop_.apply_hop(b_hat, tmp_, Parity::Even);
-    for_parity(Parity::Even, [&](std::int64_t s) {
-      WilsonSpinor<Real> v = b_hat.at(s);
-      v *= Real(0.5);
-      v += b.at(s);
-      b_hat.at(s) = v;
-    });
-    for (auto& v : b_hat.parity_span(Parity::Odd)) v = WilsonSpinor<Real>{};
   }
 
   /// x_o = A_oo^{-1} (b_o + (1/2) D_oe x_e).
   void reconstruct_solution(WilsonField<Real>& x,
                             const WilsonField<Real>& b) const {
-    hop_.apply_hop(tmp_, x, Parity::Odd);
-    for_parity(Parity::Odd, [&](std::int64_t s) {
-      WilsonSpinor<Real> v = tmp_.at(s);
-      v *= Real(0.5);
-      v += b.at(s);
-      x.at(s) = clover_apply(inv_diag_.at(s), v);
+    // The hop writes x_o into tmp_ (its copy-out zeroes the even sites,
+    // which in x hold the solution).
+    hop_.apply_hop(tmp_, x, Parity::Odd, [&](int r, WilsonField<Real>& o) {
+      const CloverField<Real>& a = clover(r);
+      map().for_sites(r, Parity::Odd, [&](std::int64_t i, std::int64_t s) {
+        WilsonSpinor<Real> v = o.at(i);
+        v *= Real(0.5);
+        v += b.at(s);
+        o.at(i) = clover_apply(a.at(i), v);
+      });
     });
+    const auto odd = std::as_const(tmp_).parity_span(Parity::Odd);
+    std::copy(odd.begin(), odd.end(), x.parity_span(Parity::Odd).begin());
   }
 
   const PartitionedTraffic& traffic() const { return hop_.traffic(); }
   const Partitioning& partitioning() const { return hop_.partitioning(); }
 
  private:
-  /// fn(s) for every site of parity \p p, on the pool's default grid.
-  /// Each call writes only site s, so the result is bitwise independent of
-  /// the worker count; the grid is never tuned (no tune keys of its own).
-  template <typename Fn>
-  void for_parity(Parity p, Fn&& fn) const {
-    const std::int64_t h = geometry().half_volume();
-    const std::int64_t begin = p == Parity::Even ? 0 : h;
-    parallel_for(h, [&](std::int64_t i) { fn(begin + i); });
+  const DomainMap& map() const { return hop_.domain_map(); }
+  const CloverField<Real>& clover(int r) const {
+    return clover_[static_cast<std::size_t>(r)];
   }
 
-  PartitionedWilsonClover<Real> hop_;
+  PartitionedWilsonClover<Real> hop_;  ///< no clover: hop-only applies
   mutable WilsonField<Real> tmp_;
-  CloverField<Real> diag_;
-  CloverField<Real> inv_diag_;
+  /// Per rank: A_ee on even local sites, A_oo^{-1} on odd (schur_diagonal).
+  std::vector<CloverField<Real>> clover_;
 };
 
 }  // namespace lqcd

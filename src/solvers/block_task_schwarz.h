@@ -68,11 +68,13 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dirac/even_odd.h"
 #include "dirac/operator.h"
 #include "dirac/partitioned.h"
+#include "dirac/partitioned_schur.h"
 #include "dirac/recon_policy.h"
 #include "fields/clover.h"
 #include "lattice/block_mask.h"
@@ -105,21 +107,10 @@ class BlockTaskSchwarzPreconditioner
                                  std::function<void(Field&)> low_store = nullptr)
       : hop_(block_hops(u, clover, mass, block_grid)),
         mr_(mr), low_store_(std::move(low_store)) {
-    const LatticeGeometry& local = hop_.partitioning().local();
     const int nb = num_blocks();
     blocks_.reserve(static_cast<std::size_t>(nb));
-    for (int b = 0; b < nb; ++b) blocks_.emplace_back(local);
-    const Real d = static_cast<Real>(4.0 + mass);
     for (int b = 0; b < nb; ++b) {
-      const auto map = hop_.domain_map().rank_map(b);
-      auto& a = blocks_[static_cast<std::size_t>(b)].clover;
-      for (std::int64_t s = 0; s < local.volume(); ++s) {
-        CloverSite<Real> cs =
-            clover != nullptr ? clover->at(map[static_cast<std::size_t>(s)])
-                              : CloverSite<Real>{};
-        cs = clover_add_diagonal(cs, d);
-        a.at(s) = s < local.half_volume() ? cs : clover_invert(cs);
-      }
+      blocks_.emplace_back(schur_diagonal(hop_.domain_map(), b, clover, mass));
     }
   }
 
@@ -211,8 +202,9 @@ class BlockTaskSchwarzPreconditioner
 
   /// One block's persistent state, all on the block-local geometry.
   struct Block {
-    explicit Block(const LatticeGeometry& g)
-        : clover(g), terms(static_cast<std::size_t>(g.volume())) {}
+    explicit Block(CloverField<Real> diagonal)
+        : clover(std::move(diagonal)),
+          terms(static_cast<std::size_t>(clover.volume())) {}
     CloverField<Real> clover;  ///< A_ee on even sites, A_oo^{-1} on odd
     std::vector<Rhs> rhs;      ///< grown to the widest batch seen
     /// The current batch's fields of rhs, as the batched hop takes them.

@@ -3,6 +3,9 @@
 // match the analytic face sizes.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "comm/domain_map.h"
 #include "fields/blas.h"
 #include "comm/exchange.h"
@@ -170,6 +173,46 @@ TEST(DomainMap, ScatterGatherRoundTrip) {
   map.gather(locals, back);
   axpy(-1.0, global, back);
   EXPECT_EQ(norm2(back), 0.0);
+
+  // The per-rank parity copies a partitioned operator's rank task runs: a
+  // parity copy-in fills that parity and leaves the other untouched; a
+  // parity copy-out writes that parity of the rank's sites, +0 on its
+  // other sites, and nothing outside the rank.
+  const WilsonField<double> other = gaussian_wilson_source(part.global(), 4);
+  const WilsonSpinor<double> zero{};
+  for (Parity p : {Parity::Even, Parity::Odd}) {
+    for (int r = 0; r < part.num_ranks(); ++r) {
+      const auto map_r = map.rank_map(r);
+      WilsonField<double> local(part.local());
+      map.scatter(r, other, local);
+      const WilsonField<double> before = local;
+      map.scatter(r, global, local, p);
+      for (std::int64_t i = 0; i < part.local().volume(); ++i) {
+        const bool in_p = (i < part.local().half_volume()) == (p == Parity::Even);
+        const auto& want = in_p ? global.at(map_r[static_cast<std::size_t>(i)])
+                                : before.at(i);
+        ASSERT_EQ(std::memcmp(&local.at(i), &want, sizeof want), 0)
+            << "copy-in rank " << r << " site " << i;
+      }
+
+      WilsonField<double> out = other;
+      map.gather(r, local, out, p);
+      std::vector<bool> mine(static_cast<std::size_t>(out.volume()), false);
+      for (std::int64_t i = 0; i < part.local().volume(); ++i) {
+        const std::int64_t s = map_r[static_cast<std::size_t>(i)];
+        mine[static_cast<std::size_t>(s)] = true;
+        const bool in_p = (i < part.local().half_volume()) == (p == Parity::Even);
+        const auto& want = in_p ? local.at(i) : zero;
+        ASSERT_EQ(std::memcmp(&out.at(s), &want, sizeof want), 0)
+            << "copy-out rank " << r << " site " << i;
+      }
+      for (std::int64_t s = 0; s < out.volume(); ++s) {
+        if (mine[static_cast<std::size_t>(s)]) continue;
+        ASSERT_EQ(std::memcmp(&out.at(s), &other.at(s), sizeof zero), 0)
+            << "copy-out of rank " << r << " wrote site " << s;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "comm/virtual_cluster.h"
 #include "core/gcr_dd.h"
 #include "dirac/partitioned.h"
+#include "dirac/partitioned_schur.h"
 #include "fields/blas.h"
 #include "gauge/clover_leaf.h"
 #include "gauge/configure.h"
@@ -270,6 +271,33 @@ TEST_F(ObsTest, RankTasksLandOnRankTracks) {
     }
     // One track per virtual rank, named by rank id, in both rank modes.
     EXPECT_EQ(tracks, (std::set<int>{0, 1, 2, 3}));
+  }
+}
+
+TEST_F(ObsTest, PartitionedSchurCopiesLandOnRankTracksOnly) {
+  // Each rank copies its own sites in and out and runs the Schur clover
+  // epilogue inside its task: under threads every such span lands on a
+  // rank track, none on the caller's.
+  const LatticeGeometry g({4, 4, 4, 8});
+  const GaugeField<double> u = hot_gauge(g, 146);
+  const CloverField<double> a = build_clover_field(u, 1.0);
+  const Partitioning part(g, {1, 1, 2, 2});
+  const PartitionedWilsonCloverSchur<double> op(part, u, &a, 0.1);
+  const WilsonField<double> in = gaussian_wilson_source(g, 147);
+  WilsonField<double> out(g);
+
+  const RankMode prev = rank_mode();
+  set_rank_mode(RankMode::Threads);
+  set_trace_enabled(true);
+  op.apply(out, in);
+  set_trace_enabled(false);
+  set_rank_mode(prev);
+
+  std::map<std::string, std::set<int>> tracks;
+  for (const SpanEvent& s : trace_events()) tracks[s.name].insert(s.track);
+  for (const char* name :
+       {"dslash.scatter", "dslash.gather", "dslash.epilogue"}) {
+    EXPECT_EQ(tracks[name], (std::set<int>{0, 1, 2, 3})) << name;
   }
 }
 

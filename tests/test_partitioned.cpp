@@ -5,7 +5,9 @@
 // face-byte formulas used by the performance model.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <string>
 #include <thread>
 
 #include "comm/virtual_cluster.h"
@@ -13,8 +15,10 @@
 #include "dirac/partitioned.h"
 #include "dirac/partitioned_schur.h"
 #include "dirac/staggered.h"
+#include "dirac/twisted_mass.h"
 #include "dirac/wilson_ops.h"
 #include "fields/blas.h"
+#include "fields/precision.h"
 #include "gauge/clover_leaf.h"
 #include "gauge/configure.h"
 #include "gauge/staggered_links.h"
@@ -227,7 +231,190 @@ TEST_P(PartitionedSchurTest, PrepareAndReconstructMatchSingleDomain) {
   EXPECT_LT(norm2(diff), 1e-18 * norm2(x_ref));
 }
 
+/// The partitioned Schur operator as whole-field steps: apply_hop into a
+/// global field, then the clover terms swept over the global field with
+/// global A_ee and A_oo^{-1} copies.  The operator runs the same per-site
+/// arithmetic inside the rank tasks, so it must match these bits.
+template <typename Real>
+class WholeFieldSchur {
+ public:
+  WholeFieldSchur(const Partitioning& part, const GaugeField<Real>& u,
+                  const CloverField<Real>* a, double mass)
+      : hop_(part, u, nullptr, mass), tmp_(part.global()),
+        diag_(part.global()), inv_diag_(part.global()) {
+    const Real d = static_cast<Real>(4.0 + mass);
+    for (std::int64_t s = 0; s < part.global().volume(); ++s) {
+      CloverSite<Real> cs = a != nullptr ? a->at(s) : CloverSite<Real>{};
+      cs = clover_add_diagonal(cs, d);
+      diag_.at(s) = cs;
+      inv_diag_.at(s) = clover_invert(cs);
+    }
+  }
+
+  void apply(WilsonField<Real>& out, const WilsonField<Real>& in) {
+    hop_.apply_hop(tmp_, in, Parity::Odd);
+    for (std::int64_t s = h(); s < 2 * h(); ++s) {
+      tmp_.at(s) = clover_apply(inv_diag_.at(s), tmp_.at(s));
+    }
+    hop_.apply_hop(out, tmp_, Parity::Even);
+    for (std::int64_t s = 0; s < h(); ++s) {
+      WilsonSpinor<Real> v = clover_apply(diag_.at(s), in.at(s));
+      WilsonSpinor<Real> hop = out.at(s);
+      hop *= Real(-0.25);
+      v += hop;
+      out.at(s) = v;
+    }
+  }
+
+  void prepare_source(WilsonField<Real>& b_hat, const WilsonField<Real>& b) {
+    tmp_.set_zero();
+    for (std::int64_t s = h(); s < 2 * h(); ++s) {
+      tmp_.at(s) = clover_apply(inv_diag_.at(s), b.at(s));
+    }
+    hop_.apply_hop(b_hat, tmp_, Parity::Even);
+    for (std::int64_t s = 0; s < h(); ++s) {
+      WilsonSpinor<Real> v = b_hat.at(s);
+      v *= Real(0.5);
+      v += b.at(s);
+      b_hat.at(s) = v;
+    }
+    for (auto& v : b_hat.parity_span(Parity::Odd)) v = WilsonSpinor<Real>{};
+  }
+
+  void reconstruct_solution(WilsonField<Real>& x, const WilsonField<Real>& b) {
+    hop_.apply_hop(tmp_, x, Parity::Odd);
+    for (std::int64_t s = h(); s < 2 * h(); ++s) {
+      WilsonSpinor<Real> v = tmp_.at(s);
+      v *= Real(0.5);
+      v += b.at(s);
+      x.at(s) = clover_apply(inv_diag_.at(s), v);
+    }
+  }
+
+ private:
+  std::int64_t h() const { return tmp_.geometry().half_volume(); }
+
+  PartitionedWilsonClover<Real> hop_;
+  WilsonField<Real> tmp_;
+  CloverField<Real> diag_;
+  CloverField<Real> inv_diag_;
+};
+
+template <typename Site>
+bool same_bits(const LatticeField<Site>& a, const LatticeField<Site>& b) {
+  return a.sites().size() == b.sites().size() &&
+         std::memcmp(a.sites().data(), b.sites().data(),
+                     a.sites().size_bytes()) == 0;
+}
+
+/// Apply, prepare_source and reconstruct_solution of the partitioned Schur
+/// operator against WholeFieldSchur, memcmp-equal for the clover term,
+/// no clover and a twisted clover, in both rank modes at 1 and 4 workers.
+template <typename Real>
+void expect_schur_matches_whole_field(const Grid& grid) {
+  const LatticeGeometry g({4, 4, 4, 8});
+  const GaugeField<double> u_d = hot_gauge(g, 181);
+  const CloverField<double> a_d = build_clover_field(u_d, 1.0);
+  const GaugeField<Real> u = convert_gauge<Real>(u_d);
+  const CloverField<Real> a = convert_clover<Real>(a_d);
+  const CloverField<Real> twisted =
+      twisted_clover(g, &a, static_cast<Real>(0.1));
+  const double mass = -0.05;
+  const Partitioning part(g, grid);
+
+  WilsonField<Real> in = convert_field<Real>(gaussian_wilson_source(g, 182));
+  for (auto& v : in.parity_span(Parity::Odd)) v = WilsonSpinor<Real>{};
+  const WilsonField<Real> b =
+      convert_field<Real>(gaussian_wilson_source(g, 183));
+  const WilsonField<Real> x0 = in;
+
+  const struct {
+    const char* name;
+    const CloverField<Real>* clover;
+  } cases[] = {{"clover", &a}, {"no clover", nullptr}, {"twisted", &twisted}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    WholeFieldSchur<Real> ref(part, u, c.clover, mass);
+    PartitionedWilsonCloverSchur<Real> par(part, u, c.clover, mass);
+    set_rank_mode(RankMode::Seq);
+    set_worker_count(1);
+    WilsonField<Real> want_apply(g), want_prep(g);
+    WilsonField<Real> want_x = x0;
+    ref.apply(want_apply, in);
+    ref.prepare_source(want_prep, b);
+    ref.reconstruct_solution(want_x, b);
+
+    for (RankMode m : {RankMode::Seq, RankMode::Threads}) {
+      for (int w : {1, 4}) {
+        SCOPED_TRACE(std::string(rank_mode_name(m)) + " workers " +
+                     std::to_string(w));
+        set_rank_mode(m);
+        set_worker_count(w);
+        WilsonField<Real> got(g);
+        par.apply(got, in);
+        EXPECT_TRUE(same_bits(want_apply, got)) << "apply";
+        WilsonField<Real> prep(g);
+        par.prepare_source(prep, b);
+        EXPECT_TRUE(same_bits(want_prep, prep)) << "prepare_source";
+        WilsonField<Real> x = x0;
+        par.reconstruct_solution(x, b);
+        EXPECT_TRUE(same_bits(want_x, x)) << "reconstruct_solution";
+      }
+    }
+  }
+}
+
+class PartitionedSchurBitwiseTest : public PartitionedSchurTest {
+ protected:
+  void TearDown() override {
+    set_rank_mode(RankMode::Threads);
+    set_worker_count(1);
+  }
+};
+
+TEST_P(PartitionedSchurBitwiseTest, DoubleMatchesWholeFieldSteps) {
+  expect_schur_matches_whole_field<double>(GetParam());
+}
+
+TEST_P(PartitionedSchurBitwiseTest, FloatMatchesWholeFieldSteps) {
+  expect_schur_matches_whole_field<float>(GetParam());
+}
+
+TEST_P(PartitionedSchurBitwiseTest, ApplyHopZeroesEveryNonTargetSite) {
+  // A NaN-filled out: the copy-out must write +0 on every non-target site
+  // and the same target sites as an apply into a clean field.
+  const LatticeGeometry g({4, 4, 4, 8});
+  const GaugeField<double> u = hot_gauge(g, 184);
+  const Partitioning part(g, GetParam());
+  const PartitionedWilsonClover<double> op(part, u, nullptr, 0.1);
+  const WilsonField<double> in = gaussian_wilson_source(g, 185);
+  const WilsonSpinor<double> zero{};
+  for (RankMode m : {RankMode::Seq, RankMode::Threads}) {
+    set_rank_mode(m);
+    for (Parity target : {Parity::Even, Parity::Odd}) {
+      SCOPED_TRACE(std::string(rank_mode_name(m)) +
+                   (target == Parity::Even ? " even" : " odd"));
+      WilsonField<double> clean(g);
+      op.apply_hop(clean, in, target);
+      WilsonField<double> dirty(g);
+      for (auto& s : dirty.sites()) {
+        for (auto& c : s.s) {
+          for (auto& z : c.c) z = {std::nan(""), std::nan("")};
+        }
+      }
+      op.apply_hop(dirty, in, target);
+      EXPECT_TRUE(same_bits(clean, dirty));
+      for (const auto& v : dirty.parity_span(opposite(target))) {
+        ASSERT_EQ(std::memcmp(&v, &zero, sizeof v), 0);
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Grids, PartitionedSchurTest,
+                         ::testing::Values(Grid{1, 1, 1, 2}, Grid{1, 1, 2, 2},
+                                           Grid{2, 2, 2, 2}, Grid{1, 2, 1, 4}));
+INSTANTIATE_TEST_SUITE_P(Grids, PartitionedSchurBitwiseTest,
                          ::testing::Values(Grid{1, 1, 1, 2}, Grid{1, 1, 2, 2},
                                            Grid{2, 2, 2, 2}, Grid{1, 2, 1, 4}));
 
