@@ -405,9 +405,9 @@ class PartitionedWilsonClover : public LinearOperator<WilsonField<Real>> {
     interior_kernel(r, in, out, target, /*hop_only=*/true);
   }
 
-  /// Batched apply_hop_local for a Schwarz block's RHS batch: each link
-  /// and neighbour lookup serves every RHS through the shared multi-RHS
-  /// site body (detail::wilson_site_hop_multi), and outs[i] is bitwise
+  /// Batched apply_hop_local for a Schwarz block's RHS batch: each
+  /// neighbour lookup serves every RHS through the shared multi-RHS site
+  /// body (detail::wilson_site_hop_multi), and outs[i] is bitwise
   /// equal to apply_hop_local on ins[i].  A width-1 batch runs the
   /// interior kernel itself.  Wider batches run in groups of
   /// kMaxMultiRhs on parallel_for's default grid (inline inside a serial
@@ -445,7 +445,8 @@ class PartitionedWilsonClover : public LinearOperator<WilsonField<Real>> {
           detail::wilson_neighbors(nt_, s, nullptr, sp, sm);
           detail::wilson_site_hop_multi(out, in, w, u, s, sp, sm);
         });
-        // Links are loaded once per site for the whole group.
+        // Nominal: one fetch per link for the whole group, as in
+        // wilson_hop_multi.
         meter_gauge_bytes(gauge_recon(u), interior_links_ * h / local.volume(),
                           static_cast<int>(sizeof(Real)));
       }
@@ -604,21 +605,19 @@ class PartitionedWilsonClover : public LinearOperator<WilsonField<Real>> {
         return;
       }
       const std::int64_t s = local.eo_index(x);
-      WilsonSpinor<Real> hop{};
+      const HalfSpinor<Real>* hf = nullptr;
+      const HalfSpinor<Real>* hb = nullptr;
+      const Matrix3<Real>* ub = nullptr;
       const auto fwd = nt_.neighbor(s, mu, +1, 1);
       if (!fwd.local() && fwd.zone == ghost_zone_id(mu, 0)) {
-        const HalfSpinor<Real>& h = sg.at(fwd.zone, fwd.index);
-        const auto& link = u.link(mu, s);
-        const HalfSpinor<Real> t = link * h;
-        accumulate_reconstruct(mu, -1, t, hop);
+        hf = &sg.at(fwd.zone, fwd.index);
       }
       const auto bwd = nt_.neighbor(s, mu, -1, 1);
       if (!bwd.local() && bwd.zone == ghost_zone_id(mu, 1)) {
-        const HalfSpinor<Real>& h = sg.at(bwd.zone, bwd.index);
-        const Matrix3<Real>& link = gg.at(bwd.zone, bwd.index);
-        const HalfSpinor<Real> t = adj_mul(link, h);
-        accumulate_reconstruct(mu, +1, t, hop);
+        hb = &sg.at(bwd.zone, bwd.index);
+        ub = &gg.at(bwd.zone, bwd.index);
       }
+      WilsonSpinor<Real> hop = detail::ghost_site_hop(u, mu, s, hf, ub, hb);
       if (!hop_only) hop *= Real(-0.5);
       out.at(s) += hop;
     });

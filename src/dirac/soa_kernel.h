@@ -8,7 +8,7 @@
 ///
 /// **Bitwise contract.**  Each leg is detail::lane_wilson_leg
 /// (dirac/wilson_kernel.h), the lane form of the scalar site body
-/// detail::wilson_site_hop, with each lane reading its own site's link
+/// detail::scalar_site_hop, with each lane reading its own site's link
 /// entries; all lane arithmetic is vertical (see linalg/simd.h), so the
 /// SoA output transmuted back to AoS is bit-identical to the AoS kernel's
 /// — tests/test_soa.cpp fuzzes this across parities, recon 18/12/8, block

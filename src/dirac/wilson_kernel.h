@@ -16,8 +16,13 @@
 /// Every Wilson hop of the library — these kernels, the multi-RHS hop
 /// (dirac/multi_rhs.h), the SoA hop (dirac/soa_kernel.h) and the
 /// partitioned interior (dirac/partitioned.h) — runs detail::wilson_site_hop
-/// over neighbour indices, with -1 for a dropped leg, or its lane form
-/// detail::lane_wilson_leg.
+/// over neighbour indices, with -1 for a dropped leg.  There are two lane
+/// legs: a float AoS field runs every leg on spin-pair lanes
+/// (detail::pair_lane_site_hop, linalg/gamma.h), which the partitioned
+/// exterior's ghost legs share (detail::ghost_site_hop); the SoA hop runs
+/// detail::lane_wilson_leg with a site per lane.  The scalar body
+/// (detail::scalar_site_hop) serves double, the SoA gathering views and
+/// builds without vector extensions.
 ///
 /// All kernels are templated on the gauge type: a `GaugeField` (full
 /// 18-real links) or a `CompressedGaugeField` (reconstruct-12/-8 storage,
@@ -31,6 +36,8 @@
 /// sweep, eliminating the temporary hop field and its extra read/write pass.
 
 #include <optional>
+#include <type_traits>
+#include <utility>
 
 #include "dirac/dslash_tune.h"
 #include "dirac/recon_policy.h"
@@ -72,12 +79,13 @@ inline void wilson_neighbors(const NeighborTable& nt, std::int64_t s,
 
 /// The Wilson hop D in at site \p s over the legs whose neighbour index is
 /// set (-1 drops a leg), in mu order, forward leg before backward:
-/// project -> SU(3) mat-vec -> accumulate-reconstruct.  The one scalar
-/// Wilson site body: every hop of the library runs it (the lane paths
-/// mirror it per lane).  \p in[i] is the spinor at eo index i — a site
-/// pointer for AoS fields, a gathering view for SoA ones.
+/// project -> SU(3) mat-vec -> accumulate-reconstruct.  The scalar Wilson
+/// site body: double fields, the SoA gathering views and builds without
+/// vector extensions run it, and it is the reference the lane forms
+/// mirror.  \p in[i] is the spinor at eo index i — a site pointer for AoS
+/// fields, a gathering view for SoA ones.
 template <typename Real, typename Gauge, typename In>
-inline WilsonSpinor<Real> wilson_site_hop(const Gauge& u, const In& in,
+inline WilsonSpinor<Real> scalar_site_hop(const Gauge& u, const In& in,
                                           std::int64_t s,
                                           const std::int64_t* sp,
                                           const std::int64_t* sm) {
@@ -99,6 +107,102 @@ inline WilsonSpinor<Real> wilson_site_hop(const Gauge& u, const In& in,
   return acc;
 }
 
+#ifdef LQCD_SOA_SIMD
+/// scalar_site_hop for a float AoS field on spin-pair lanes (linalg/gamma.h):
+/// each leg projects, multiplies and reconstructs on six register vectors,
+/// and the accumulator, two pairs per colour from +0, is stored once.  Its
+/// lane ops are the scalar body's IEEE ops in the scalar order, so the
+/// result is bitwise scalar_site_hop's (tests/test_wilson.cpp asserts it).
+template <typename Gauge>
+inline WilsonSpinor<float> pair_lane_site_hop(const Gauge& u,
+                                              const WilsonSpinor<float>* in,
+                                              std::int64_t s,
+                                              const std::int64_t* sp,
+                                              const std::int64_t* sm) {
+  PairLanes lo[kNColor]{};
+  PairLanes hi[kNColor]{};
+  const auto leg = [&]<int Mu>(std::integral_constant<int, Mu>) {
+    PairLanes h[kNColor];
+    PairLanes t[kNColor];
+    if (sp[Mu] >= 0) {
+      project_pairs<Mu, -1>(in[sp[Mu]], h);
+      mul_half_lanes<false>(u.link(Mu, s), h, t);
+      reconstruct_pairs<Mu, -1>(t, lo, hi);
+    }
+    if (sm[Mu] >= 0) {
+      project_pairs<Mu, +1>(in[sm[Mu]], h);
+      mul_half_lanes<true>(u.link(Mu, sm[Mu]), h, t);
+      reconstruct_pairs<Mu, +1>(t, lo, hi);
+    }
+  };
+  [&]<int... Mu>(std::integer_sequence<int, Mu...>) {
+    (leg(std::integral_constant<int, Mu>{}), ...);
+  }(std::make_integer_sequence<int, kNDim>{});
+  return store_spinor_pairs(lo, hi);
+}
+#endif
+
+/// The Wilson site body every hop of the library runs: pair_lane_site_hop
+/// for a float AoS field, scalar_site_hop otherwise.
+template <typename Real, typename Gauge, typename In>
+inline WilsonSpinor<Real> wilson_site_hop(const Gauge& u, const In& in,
+                                          std::int64_t s,
+                                          const std::int64_t* sp,
+                                          const std::int64_t* sm) {
+#ifdef LQCD_SOA_SIMD
+  if constexpr (std::is_same_v<In, const WilsonSpinor<float>*>) {
+    return pair_lane_site_hop(u, in, s, sp, sm);
+  } else
+#endif
+  {
+    return scalar_site_hop<Real>(u, in, s, sp, sm);
+  }
+}
+
+/// The legs of direction \p mu at site \p s from ghost half spinors,
+/// which arrive projected, so each leg multiplies and reconstructs:
+/// \p fwd times u.link(mu, s), then \p bwd times \p bwd_link^dagger; a
+/// null spinor drops its leg.  Float runs the legs on spin-pair lanes,
+/// like pair_lane_site_hop.  The partitioned exterior kernels run it.
+template <typename Real, typename Gauge>
+inline WilsonSpinor<Real> ghost_site_hop(const Gauge& u, int mu,
+                                         std::int64_t s,
+                                         const HalfSpinor<Real>* fwd,
+                                         const Matrix3<Real>* bwd_link,
+                                         const HalfSpinor<Real>* bwd) {
+#ifdef LQCD_SOA_SIMD
+  if constexpr (std::is_same_v<Real, float>) {
+    return with_static_mu(mu, [&]<int Mu>(std::integral_constant<int, Mu>) {
+      PairLanes lo[kNColor]{};
+      PairLanes hi[kNColor]{};
+      PairLanes h[kNColor];
+      PairLanes t[kNColor];
+      if (fwd != nullptr) {
+        load_half_pairs(*fwd, h);
+        mul_half_lanes<false>(u.link(Mu, s), h, t);
+        reconstruct_pairs<Mu, -1>(t, lo, hi);
+      }
+      if (bwd != nullptr) {
+        load_half_pairs(*bwd, h);
+        mul_half_lanes<true>(*bwd_link, h, t);
+        reconstruct_pairs<Mu, +1>(t, lo, hi);
+      }
+      return store_spinor_pairs(lo, hi);
+    });
+  } else
+#endif
+  {
+    WilsonSpinor<Real> acc{};
+    if (fwd != nullptr) {
+      accumulate_reconstruct(mu, -1, u.link(mu, s) * *fwd, acc);
+    }
+    if (bwd != nullptr) {
+      accumulate_reconstruct(mu, +1, adj_mul(*bwd_link, *bwd), acc);
+    }
+    return acc;
+  }
+}
+
 /// (4 + m + A) psi - hop / 2 at one site: the epilogue of every fused
 /// Wilson-clover apply.  \p a may be null (plain Wilson).
 template <typename Real>
@@ -114,14 +218,13 @@ inline WilsonSpinor<Real> wilson_clover_site(WilsonSpinor<Real> hop,
   return v;
 }
 
-/// One hop leg of wilson_site_hop on N lanes: project (1 + sign*gamma_mu),
-/// SU(3) mat-vec (adjoint via conjugated transposed entries, as adj_mul),
-/// accumulate-reconstruct, mirroring project()/operator*/adj_mul()/
-/// accumulate_reconstruct() operation for operation, so each lane's bits
-/// are the scalar body's (linalg/simd.h, "Bitwise contract").  \p link(i, j)
-/// returns link entry (i, j) in lane form: one entry broadcast to every lane
-/// when the lanes are right-hand sides at one site (dirac/multi_rhs.h), or
-/// each lane's own entry when the lanes are sites (dirac/soa_kernel.h).
+/// One hop leg of the SoA hop (dirac/soa_kernel.h) on N lanes, one site per
+/// lane: project (1 + sign*gamma_mu), SU(3) mat-vec (adjoint via
+/// conjugated transposed entries, as adj_mul), accumulate-reconstruct,
+/// mirroring project()/operator*/adj_mul()/accumulate_reconstruct()
+/// operation for operation, so each lane's bits are the scalar body's
+/// (linalg/simd.h, "Bitwise contract").  \p link(i, j) returns each lane's
+/// own link entry (i, j) in lane form.
 template <typename Real, int N, typename Link>
 inline void lane_wilson_leg(const Link& link, int mu, int sign, bool adjoint,
                             const CplxLanes<Real, N> psi[kNSpin][kNColor],

@@ -15,8 +15,18 @@
 /// is reconstructed as out[a] += t_a, out[col[a]] += s * conj(phase_a) t_a.
 /// Transferring half spinors also halves ghost-zone traffic for Wilson-type
 /// stencils; the byte accounting in perfmodel assumes it.
+///
+/// For float the leg runs on spin-pair lanes (detail, below): a 4-float
+/// vector per colour holds spins (0, 1), another spins (2, 3), and
+/// projection, colour multiply and reconstruction are lane permutes, sign
+/// flips, adds and multiplies derived from kGamma at compile time.  That
+/// is the one lane leg of AoS fields; the SoA hop has its own, with a site
+/// per lane (detail::lane_wilson_leg, dirac/wilson_kernel.h).
 
 #include <array>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <type_traits>
 
 #include "lattice/geometry.h"  // kNDim
@@ -108,38 +118,188 @@ struct HalfSpinor {
 namespace detail {
 
 #ifdef LQCD_SOA_SIMD
-/// U h (Adj false) or U^dagger h (Adj true) for both color vectors of a
-/// float half spinor at once, on 4-float lanes holding (h0_j, h1_j): per
-/// output row, acc += v_j * re(m) + swap(v_j) * (-im(m), im(m), ...) for
-/// j = 0, 1, 2 from acc = 0, with m = u(i,j) or conj(u(j,i)).  Per
-/// component that is cmul's (or cmul_conj's) product, re*re + im*(-im)
-/// being IEEE's re*re - im*im and the imaginary sum commuted, added to the
-/// accumulator in the scalar mat-vec's order, so every bit matches
-/// operator*(Matrix3, ColorVector) and adj_mul.
+// ---------------------------------------------------------------------------
+// Spin-pair lanes: the float Wilson leg of every AoS hop.
+//
+// A 4-float vector holds two spins of one colour, (re, im, re, im): per
+// colour c, one vector holds spins (0, 1) and one spins (2, 3) of a
+// spinor, or the two rows of a half spinor.  Every gamma_mu of the
+// DeGrand-Rossi basis maps rows 0 and 1 to columns in {2, 3}, so
+// project(), the colour multiply and accumulate_reconstruct() become a
+// lane permute with sign flips, an add and a multiply on six vectors.
+// Each lane op is the scalar step's IEEE op: i^p is a re/im swap plus a
+// sign-bit flip, x + (-t) is the scalar's `x + (sign > 0 ? t : -t)`, and
+// the multiply keeps cmul's product and the mat-vec's order.
+// ---------------------------------------------------------------------------
+
+/// Two spins of one colour: (re, im, re, im).
+using PairLanes = LaneVec<float, 4>;
+
+static_assert(
+    [] {
+      for (const GammaPattern& g : kGamma) {
+        if (g.col[0] < 2 || g.col[1] < 2 || g.col[0] == g.col[1]) return false;
+      }
+      return true;
+    }(),
+    "spin-pair lanes need gamma_mu to map rows 0, 1 onto columns 2, 3");
+
+/// A lane permutation with sign flips: lane l of the result is lane src[l]
+/// of the operand with its sign bit flipped where neg[l].
+struct PairShuffle {
+  std::array<int, 4> src{};
+  std::array<bool, 4> neg{};
+};
+
+/// Writes +-i^p z into slot \p to (lanes 2to, 2to+1) of \p s, z being the
+/// complex in slot \p from of the operand; sign < 0 flips the whole term.
+constexpr void place_i_pow(PairShuffle& s, int to, int from, int p,
+                           int sign) {
+  const int q = p & 3;
+  const bool swap = (q & 1) != 0;
+  const auto re = static_cast<std::size_t>(2 * to);
+  s.src[re] = 2 * from + (swap ? 1 : 0);
+  s.src[re + 1] = 2 * from + (swap ? 0 : 1);
+  s.neg[re] = (q == 1 || q == 2) != (sign < 0);
+  s.neg[re + 1] = (q == 2 || q == 3) != (sign < 0);
+}
+
+/// project(mu, sign)'s second term from the (2, 3) pair: row a gets
+/// +-i^phase[a] psi[col[a]].
+constexpr PairShuffle project_shuffle(int mu, int sign) {
+  const GammaPattern& g = kGamma[static_cast<std::size_t>(mu)];
+  PairShuffle s;
+  for (int a = 0; a < 2; ++a) {
+    const auto aa = static_cast<std::size_t>(a);
+    place_i_pow(s, a, g.col[aa] - 2, g.phase[aa], sign);
+  }
+  return s;
+}
+
+/// accumulate_reconstruct(mu, sign)'s second term into the (2, 3) pair:
+/// spin col[a] gets +-conj(i^phase[a]) t[a].
+constexpr PairShuffle reconstruct_shuffle(int mu, int sign) {
+  const GammaPattern& g = kGamma[static_cast<std::size_t>(mu)];
+  PairShuffle s;
+  for (int a = 0; a < 2; ++a) {
+    const auto aa = static_cast<std::size_t>(a);
+    place_i_pow(s, g.col[aa] - 2, a, (4 - g.phase[aa]) & 3, sign);
+  }
+  return s;
+}
+
+/// Applies \p S: one shuffle and, where a lane flips, one xor.
+template <PairShuffle S>
+inline PairLanes shuffle_pair(const PairLanes& v) {
+  using Bits = LaneVecImpl<std::int32_t, 4>::type;
+  constexpr std::int32_t kSign = std::numeric_limits<std::int32_t>::min();
+  const PairLanes r{v[S.src[0]], v[S.src[1]], v[S.src[2]], v[S.src[3]]};
+  constexpr Bits mask{S.neg[0] ? kSign : 0, S.neg[1] ? kSign : 0,
+                      S.neg[2] ? kSign : 0, S.neg[3] ? kSign : 0};
+  return std::bit_cast<PairLanes>(std::bit_cast<Bits>(r) ^ mask);
+}
+
+/// Colour c of spins \p x and \p y on one pair.
+inline PairLanes load_pair(const ColorVector<float>& x,
+                           const ColorVector<float>& y, int c) {
+  return PairLanes{x[c].real(), x[c].imag(), y[c].real(), y[c].imag()};
+}
+
+inline void store_pair(const PairLanes& v, ColorVector<float>& x,
+                       ColorVector<float>& y, int c) {
+  x[c] = Cplx<float>(v[0], v[1]);
+  y[c] = Cplx<float>(v[2], v[3]);
+}
+
+/// The two rows of a half spinor on pairs, one per colour.
+inline void load_half_pairs(const HalfSpinor<float>& h, PairLanes v[kNColor]) {
+  for (int c = 0; c < kNColor; ++c) v[c] = load_pair(h[0], h[1], c);
+}
+
+/// A spinor held as spins (0, 1) in \p lo and (2, 3) in \p hi.
+inline WilsonSpinor<float> store_spinor_pairs(const PairLanes lo[kNColor],
+                                              const PairLanes hi[kNColor]) {
+  WilsonSpinor<float> psi;
+  for (int c = 0; c < kNColor; ++c) {
+    store_pair(lo[c], psi[0], psi[1], c);
+    store_pair(hi[c], psi[2], psi[3], c);
+  }
+  return psi;
+}
+
+/// project(Mu, Sign, psi) on pairs: h[c] holds rows (0, 1) of colour c.
+template <int Mu, int Sign>
+inline void project_pairs(const WilsonSpinor<float>& psi,
+                          PairLanes h[kNColor]) {
+  constexpr PairShuffle kS = project_shuffle(Mu, Sign);
+  for (int c = 0; c < kNColor; ++c) {
+    h[c] = load_pair(psi[0], psi[1], c) +
+           shuffle_pair<kS>(load_pair(psi[2], psi[3], c));
+  }
+}
+
+/// U h (Adj false) or U^dagger h (Adj true) on pairs: per output row,
+/// t[i] = sum_j h[j] * re(m) + swap(h[j]) * (-im(m), im(m), ...) from
+/// t[i] = 0, in j order, with m = u(i,j) or conj(u(j,i)).  Per component
+/// that is cmul's (or cmul_conj's) product, re*re + im*(-im) being IEEE's
+/// re*re - im*im and the imaginary sum commuted, added to the accumulator
+/// in the scalar mat-vec's order, so every bit matches
+/// operator*(Matrix3, ColorVector) and adj_mul on each row.
 template <bool Adj>
-inline HalfSpinor<float> mul_half_lanes(const Matrix3<float>& u,
-                                        const HalfSpinor<float>& h) {
-  using V = LaneVec<float, 4>;
-  static_assert(sizeof(HalfSpinor<float>) == 12 * sizeof(float));
-  const float* p = reinterpret_cast<const float*>(&h);
-  V v[kNColor]{};
-  V sv[kNColor]{};
-  for (int j = 0; j < kNColor; ++j) {
-    v[j] = V{p[2 * j], p[2 * j + 1], p[6 + 2 * j], p[7 + 2 * j]};
-    sv[j] = swap_re_im(v[j]);
-  }
-  HalfSpinor<float> t;
+inline void mul_half_lanes(const Matrix3<float>& u,
+                           const PairLanes h[kNColor], PairLanes t[kNColor]) {
+  // re(m) and (-im(m), im(m), ...) are shuffles of the entry of u: conj's
+  // sign flip folds into the mask, -(-x) being x exactly.
+  constexpr PairShuffle kRe{{0, 0, 0, 0}, {}};
+  constexpr PairShuffle kIm{{1, 1, 1, 1}, {!Adj, Adj, !Adj, Adj}};
+  PairLanes sh[kNColor];
+  for (int j = 0; j < kNColor; ++j) sh[j] = swap_re_im(h[j]);
   for (int i = 0; i < kNColor; ++i) {
-    V acc{};
+    PairLanes acc{};
     for (int j = 0; j < kNColor; ++j) {
-      const Cplx<float> m = Adj ? std::conj(u(j, i)) : u(i, j);
-      acc += v[j] * V{m.real(), m.real(), m.real(), m.real()} +
-             sv[j] * V{-m.imag(), m.imag(), -m.imag(), m.imag()};
+      const Cplx<float>& m = Adj ? u(j, i) : u(i, j);
+      const PairLanes z{m.real(), m.imag(), m.real(), m.imag()};
+      acc += h[j] * shuffle_pair<kRe>(z) + sh[j] * shuffle_pair<kIm>(z);
     }
-    t[0][i] = Cplx<float>(acc[0], acc[1]);
-    t[1][i] = Cplx<float>(acc[2], acc[3]);
+    t[i] = acc;
   }
-  return t;
+}
+
+/// accumulate_reconstruct(Mu, Sign, t, acc) on pairs: lo and hi hold
+/// spins (0, 1) and (2, 3) of the accumulator.
+template <int Mu, int Sign>
+inline void reconstruct_pairs(const PairLanes t[kNColor],
+                              PairLanes lo[kNColor], PairLanes hi[kNColor]) {
+  constexpr PairShuffle kS = reconstruct_shuffle(Mu, Sign);
+  for (int c = 0; c < kNColor; ++c) {
+    lo[c] += t[c];
+    hi[c] += shuffle_pair<kS>(t[c]);
+  }
+}
+
+/// The float half-spinor multiply of operator* and adj_mul on pairs.
+template <bool Adj>
+inline HalfSpinor<float> mul_half_pairs(const Matrix3<float>& u,
+                                        const HalfSpinor<float>& h) {
+  PairLanes v[kNColor];
+  PairLanes t[kNColor];
+  load_half_pairs(h, v);
+  mul_half_lanes<Adj>(u, v, t);
+  HalfSpinor<float> r;
+  for (int c = 0; c < kNColor; ++c) store_pair(t[c], r[0], r[1], c);
+  return r;
+}
+
+/// Calls fn(std::integral_constant<int, mu>{}): the pair-lane legs take mu
+/// as a template argument.
+template <typename Fn>
+inline decltype(auto) with_static_mu(int mu, Fn&& fn) {
+  switch (mu) {
+    case 0: return fn(std::integral_constant<int, 0>{});
+    case 1: return fn(std::integral_constant<int, 1>{});
+    case 2: return fn(std::integral_constant<int, 2>{});
+    default: return fn(std::integral_constant<int, 3>{});
+  }
 }
 #endif
 
@@ -152,7 +312,7 @@ template <typename Real>
 HalfSpinor<Real> operator*(const Matrix3<Real>& u, const HalfSpinor<Real>& h) {
 #ifdef LQCD_SOA_SIMD
   if constexpr (std::is_same_v<Real, float>) {
-    return detail::mul_half_lanes<false>(u, h);
+    return detail::mul_half_pairs<false>(u, h);
   } else
 #endif
   {
@@ -168,7 +328,7 @@ template <typename Real>
 HalfSpinor<Real> adj_mul(const Matrix3<Real>& u, const HalfSpinor<Real>& h) {
 #ifdef LQCD_SOA_SIMD
   if constexpr (std::is_same_v<Real, float>) {
-    return detail::mul_half_lanes<true>(u, h);
+    return detail::mul_half_pairs<true>(u, h);
   } else
 #endif
   {

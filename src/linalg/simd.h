@@ -1,12 +1,13 @@
 #pragma once
 /// \file simd.h
-/// \brief Build-time SIMD lane abstraction, the one lane family of both
-/// SIMD axes: across sites in the vector-blocked (SoA) field layout — the
-/// CPU analogue of the paper's float4-style coalesced spinor ordering
-/// (§6.2) — and across right-hand sides in the multi-RHS hop.
+/// \brief Build-time SIMD lane abstraction, the one lane family of the
+/// library's lane kernels: across sites in the vector-blocked (SoA) field
+/// layout — the CPU analogue of the paper's float4-style coalesced spinor
+/// ordering (§6.2) — and across the spins of one site in the AoS hop's
+/// spin-pair lanes (linalg/gamma.h).
 ///
 /// A "lane pack" holds one real component of kSoaLanes<Real> consecutive
-/// checkerboard sites, or of four right-hand sides at one site.  On
+/// checkerboard sites, or two spins' complex values of one colour.  On
 /// GNU-compatible compilers the pack is a native GCC vector type, so every
 /// elementwise op is one vertical instruction; on other compilers it
 /// degrades to a fixed-size array with elementwise loops (the portable
@@ -29,11 +30,12 @@
 /// exact sign-bit flips, and (c) the default build is the SSE2 baseline so
 /// no FMA contraction exists on either path, a lane kernel that mirrors
 /// the scalar operation sequence step for step produces bit-identical
-/// results per site.  Both lane paths run one lane leg
-/// (detail::lane_wilson_leg, dirac/wilson_kernel.h); tests/test_soa.cpp
-/// asserts the contract for the SoA hop and tests/test_serve.cpp for the
-/// multi-RHS hop.
+/// results per site.  There is one Wilson lane leg per layout: AoS fields
+/// run spin-pair lanes (detail::pair_lane_site_hop, dirac/wilson_kernel.h;
+/// tests/test_wilson.cpp asserts the contract against the scalar body),
+/// SoA fields detail::lane_wilson_leg (tests/test_soa.cpp).
 
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -119,6 +121,11 @@ struct LaneVecImpl<float, 8> {
 template <>
 struct LaneVecImpl<double, 4> {
   typedef double type __attribute__((vector_size(32)));
+};
+// Sign masks of the spin-pair lanes (linalg/gamma.h).
+template <>
+struct LaneVecImpl<std::int32_t, 4> {
+  typedef std::int32_t type __attribute__((vector_size(16)));
 };
 #endif
 

@@ -546,9 +546,9 @@ TEST(BlockTaskSchwarz, BitwiseMatchesMaskedReference) {
 TEST(BlockTaskSchwarz, BatchedBitwiseMatchesMaskedReference) {
   // apply_multi, the batched preconditioner GcrDdWilsonSolver's batched
   // solve runs, over the cases of BitwiseMatchesMaskedReference.  The float
-  // widths cover the four-lane SIMD groups of the batched hop (4, 8), a
-  // ragged scalar tail (3, 5), width 1 (the interior kernel) and two hop
-  // groups (17 > kMaxMultiRhs); the last width, narrower than the one
+  // widths cover batches that run the site body per RHS (3, 4, 5, 8),
+  // width 1 (the interior kernel) and two hop groups
+  // (17 > kMaxMultiRhs); the last width, narrower than the one
   // before, reruns on grown block workspaces.  Two workers run every case
   // one task per block, sixteen the 2- and 4-block cases block after
   // block.  The double run keeps alpha in double (see above).
@@ -632,7 +632,7 @@ TEST(BlockTaskSchwarz, LinkFormatFollowsTheMaskedOperator) {
     ref.apply(want, in);
     blocks.apply(got, in);
     EXPECT_TRUE(bitwise_equal(want, got));
-    // A width-4 batch runs the four-lane hop on the same links.
+    // A width-4 batch runs the batched block hop on the same links.
     std::vector<WilsonField<float>> batch(4, WilsonField<float>(g));
     std::vector<WilsonField<float>*> outs;
     for (auto& f : batch) outs.push_back(&f);

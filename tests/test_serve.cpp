@@ -136,8 +136,7 @@ void expect_hop_multi_matches_single_all_formats(int width) {
 }
 
 TEST(MultiRhs, WilsonHopBitwiseMatchesSingle) {
-  // Width 5 is not a power of two: a ragged group.  In float it is one
-  // four-lane SIMD group plus a scalar tail.
+  // Width 5 is not a power of two: a ragged group.
   {
     SCOPED_TRACE("double");
     expect_hop_multi_matches_single_all_formats<double>(5);
@@ -275,8 +274,8 @@ TEST(BlockSolvers, BlockGcrDdMatchesSingleAcrossRankModes) {
   // Full stack over the virtual cluster: the batched GCR-DD solver must
   // reproduce GcrDdWilsonSolver per RHS — stats, residual trajectory and
   // the solution fields — in both the sequential reference and the
-  // concurrent rank runtime.  Five RHS: the batched Schwarz hops run one
-  // four-lane SIMD group plus a scalar tail until the batch narrows.
+  // concurrent rank runtime.  Five RHS: the batched Schwarz hops run the
+  // site body per RHS, at width 5 until the batch narrows.
   const LatticeGeometry g({4, 4, 4, 8});
   const GaugeField<double> u = thermalized(g, 271);
   const CloverField<double> a = build_clover_field(u, 1.0);

@@ -2,7 +2,11 @@
 // dense assembly, plus structural identities.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <utility>
 
 #include "dirac/dense_reference.h"
 #include "dirac/even_odd.h"
@@ -11,8 +15,10 @@
 #include "dirac/wilson_ops.h"
 #include "fields/blas.h"
 #include "fields/compressed_gauge.h"
+#include "fields/precision.h"
 #include "gauge/clover_leaf.h"
 #include "gauge/configure.h"
+#include "util/rng.h"
 
 namespace lqcd {
 namespace {
@@ -26,6 +32,140 @@ TEST(Wilson, HopMatchesFullSpinorReference) {
   wilson_hop_reference(ref, u, in);
   axpy(-1.0, ref, fast);
   EXPECT_LT(norm2(fast), 1e-22 * norm2(ref));
+}
+
+/// A random float of magnitude 10^e, e uniform in [-30, max_exp], with a
+/// random sign; one draw in 16 is instead +-0 or a subnormal.
+float spread_float(Rng& rng, double max_exp) {
+  using Lim = std::numeric_limits<float>;
+  const float specials[] = {0.0f, -0.0f, Lim::denorm_min(), -Lim::denorm_min(),
+                            Lim::min() / 1024.0f, -Lim::min() / 3.0f};
+  if (rng.below(16) == 0) return specials[rng.below(std::size(specials))];
+  const double mag = std::pow(10.0, rng.uniform(-30.0, max_exp));
+  return static_cast<float>(rng.below(2) == 0 ? mag : -mag);
+}
+
+Cplx<float> spread_cplx(Rng& rng, double max_exp) {
+  const float re = spread_float(rng, max_exp);
+  return Cplx<float>(re, spread_float(rng, max_exp));
+}
+
+template <typename Gauge>
+int count_pair_lane_mismatches(const Gauge& u, const WilsonField<float>& in,
+                               const NeighborTable& nt) {
+  const WilsonSpinor<float>* psi = in.sites().data();
+  int mismatches = 0;
+  for (int mask = 0; mask < 256; ++mask) {
+    for (std::int64_t s = 0; s < in.geometry().volume(); ++s) {
+      std::int64_t sp[kNDim];
+      std::int64_t sm[kNDim];
+      detail::wilson_neighbors(nt, s, nullptr, sp, sm);
+      for (int mu = 0; mu < kNDim; ++mu) {
+        if ((mask >> (2 * mu) & 1) != 0) sp[mu] = -1;
+        if ((mask >> (2 * mu + 1) & 1) != 0) sm[mu] = -1;
+      }
+      const WilsonSpinor<float> lanes =
+          detail::pair_lane_site_hop(u, psi, s, sp, sm);
+      const WilsonSpinor<float> scalar =
+          detail::scalar_site_hop<float>(u, psi, s, sp, sm);
+      if (std::memcmp(&lanes, &scalar, sizeof lanes) != 0) ++mismatches;
+    }
+  }
+  return mismatches;
+}
+
+/// The exterior kernels' ghost legs: projected half spinors multiplied and
+/// reconstructed on pairs, against the per-vector scalar algebra.
+int count_ghost_leg_mismatches(const GaugeField<float>& u, Rng& rng,
+                               double spinor_exp, double link_exp) {
+  int mismatches = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    const int mu = trial % kNDim;
+    const bool has_fwd = (trial / kNDim) % 2 == 0;
+    const bool has_bwd = (trial / (2 * kNDim)) % 2 == 0;
+    const std::int64_t s = trial % u.geometry().volume();
+    HalfSpinor<float> hf;
+    HalfSpinor<float> hb;
+    Matrix3<float> ub;
+    for (int a = 0; a < 2; ++a) {
+      for (int c = 0; c < kNColor; ++c) {
+        hf[a][c] = spread_cplx(rng, spinor_exp);
+        hb[a][c] = spread_cplx(rng, spinor_exp);
+      }
+    }
+    for (auto& z : ub.m) z = spread_cplx(rng, link_exp);
+    WilsonSpinor<float> expect{};
+    if (has_fwd) {
+      HalfSpinor<float> t;
+      t[0] = u.link(mu, s) * hf[0];
+      t[1] = u.link(mu, s) * hf[1];
+      accumulate_reconstruct(mu, -1, t, expect);
+    }
+    if (has_bwd) {
+      HalfSpinor<float> t;
+      t[0] = adj_mul(ub, hb[0]);
+      t[1] = adj_mul(ub, hb[1]);
+      accumulate_reconstruct(mu, +1, t, expect);
+    }
+    const WilsonSpinor<float> got = detail::ghost_site_hop(
+        u, mu, s, has_fwd ? &hf : nullptr, &ub, has_bwd ? &hb : nullptr);
+    if (std::memcmp(&got, &expect, sizeof got) != 0) ++mismatches;
+  }
+  return mismatches;
+}
+
+TEST(Wilson, PairLaneSiteHopBitwiseMatchesScalarBody) {
+#ifndef LQCD_SOA_SIMD
+  GTEST_SKIP() << "no vector extensions: every hop runs the scalar body";
+#else
+  // The spin-pair lane body every float AoS hop runs against the scalar
+  // body, memcmp per site, for every subset of dropped legs (bit 2mu drops
+  // the forward leg of mu, bit 2mu + 1 the backward one) and every gauge
+  // format.  Components span 10^-30 to 10^30, +-0 and subnormals, so
+  // products underflow and round differently in any other order.  The
+  // spinors reach 10^30 with links up to 10^6, then the other way round:
+  // a site's sums stay below FLT_MAX, because an Inf - Inf in a sum gives
+  // a NaN whose sign IEEE leaves open.  The compressed formats rebuild
+  // SU(3) links, so they carry the thermal links under the spread
+  // spinors.
+  const LatticeGeometry g({4, 4, 4, 4});
+  const NeighborTable nt(g, {}, 1);
+  Rng rng(31);
+  WilsonField<float> in(g);
+  GaugeField<float> u(g);
+  for (const auto& [spinor_exp, link_exp] : {std::pair{30.0, 6.0},
+                                             std::pair{6.0, 30.0}}) {
+    for (auto& site : in.sites()) {
+      for (int a = 0; a < kNSpin; ++a) {
+        for (int c = 0; c < kNColor; ++c) {
+          site[a][c] = spread_cplx(rng, spinor_exp);
+        }
+      }
+    }
+    for (int mu = 0; mu < kNDim; ++mu) {
+      for (std::int64_t s = 0; s < g.volume(); ++s) {
+        for (auto& z : u.link(mu, s).m) z = spread_cplx(rng, link_exp);
+      }
+    }
+    EXPECT_EQ(count_pair_lane_mismatches(u, in, nt), 0)
+        << "full links, spinors to 1e" << spinor_exp;
+    EXPECT_EQ(count_ghost_leg_mismatches(u, rng, spinor_exp, link_exp), 0)
+        << "ghost legs, spinors to 1e" << spinor_exp;
+  }
+  const GaugeField<float> su3 = convert_gauge<float>(hot_gauge(g, 32));
+  for (auto& site : in.sites()) {
+    for (int a = 0; a < kNSpin; ++a) {
+      for (int c = 0; c < kNColor; ++c) site[a][c] = spread_cplx(rng, 30.0);
+    }
+  }
+  for (Reconstruct r : {Reconstruct::Twelve, Reconstruct::Eight}) {
+    for (bool half : {false, true}) {
+      const CompressedGaugeField<float> cu(su3, r, half);
+      EXPECT_EQ(count_pair_lane_mismatches(cu, in, nt), 0)
+          << "recon" << to_string(r) << (half ? "/half" : "");
+    }
+  }
+#endif
 }
 
 TEST(Wilson, OperatorMatchesDenseMatrix) {
