@@ -28,8 +28,11 @@
 /// `seq` the ranks execute one after another through the reference
 /// exchange; both modes are bitwise identical (asserted in tests).  The
 /// Wilson and staggered operators run this schedule through one driver,
-/// detail::run_partitioned, and the Wilson interior is the one Wilson site
-/// body (dirac/wilson_kernel.h) with ghost entries as dropped legs.
+/// detail::run_partitioned.  Each interior is its action's one site body
+/// with ghost entries as dropped legs: the Wilson body (spin-pair lanes in
+/// float, dirac/wilson_kernel.h) and the staggered body (colour-row lanes
+/// in float, the third use of the lane family, dirac/staggered.h).  The
+/// exterior kernels' float ghost legs run the same lane multiplies.
 
 #include <algorithm>
 #include <functional>
@@ -704,20 +707,24 @@ class PartitionedStaggered : public LinearOperator<StaggeredField<Real>> {
 
  private:
   /// out = m in + D in / 2 on every local site, from the rank-local
-  /// neighbours only (the shared staggered site body); the exterior
-  /// kernels add the ghost terms.
+  /// neighbours only (the one staggered site body, on colour-row lanes in
+  /// float); the exterior kernels add the ghost terms.
   void interior_kernel(int r) const {
     const LatticeGeometry& local = part_.local();
     const auto& fat = fat_local_[static_cast<std::size_t>(r)];
     const auto& lng = lng_local_[static_cast<std::size_t>(r)];
     const auto& in = st_.in[static_cast<std::size_t>(r)];
     auto& out = st_.out[static_cast<std::size_t>(r)];
+    const ColorVector<Real>* psi = in.sites().data();
     const Real m = static_cast<Real>(mass_);
     tuned_site_loop(
         "staggered_part_interior", detail::dslash_aux<Real>(std::nullopt, false),
         out.sites(), local.volume(), [&](std::int64_t s) {
-      ColorVector<Real> hop = detail::staggered_local_hop(nt_, fat, lng, in, s);
-      ColorVector<Real> v = in.at(s);
+      std::int64_t nb[4 * kNDim];
+      detail::staggered_neighbors(nt_, s, nullptr, nb);
+      ColorVector<Real> hop =
+          detail::staggered_site_hop<Real>(fat, lng, psi, s, nb);
+      ColorVector<Real> v = psi[s];
       v *= m;
       hop *= Real(0.5);
       v += hop;
@@ -727,7 +734,9 @@ class PartitionedStaggered : public LinearOperator<StaggeredField<Real>> {
 
   /// Stays serial: the slice list is deduplicated (a 3-hop stencil on a
   /// local extent of 4 revisits slices), so a flattened loop would not have
-  /// write-disjoint iterations the way the Wilson exterior does.
+  /// write-disjoint iterations the way the Wilson exterior does.  Each
+  /// ghost leg multiplies through detail::staggered_leg_mul (colour-row
+  /// lanes in float).
   void exterior_kernel(int r, int mu) const {
     const LatticeGeometry& local = part_.local();
     const auto& fat = fat_local_[static_cast<std::size_t>(r)];
@@ -755,19 +764,23 @@ class PartitionedStaggered : public LinearOperator<StaggeredField<Real>> {
         ColorVector<Real> hop{};
         const auto f1 = nt_.neighbor(s, mu, +1, 1);
         if (!f1.local()) {
-          hop += fat.link(mu, s) * sg.at(f1.zone, f1.index);
+          hop += detail::staggered_leg_mul<false>(fat.link(mu, s),
+                                                  sg.at(f1.zone, f1.index));
         }
         const auto b1 = nt_.neighbor(s, mu, -1, 1);
         if (!b1.local()) {
-          hop -= adj_mul(fg.at(b1.zone, b1.index), sg.at(b1.zone, b1.index));
+          hop -= detail::staggered_leg_mul<true>(fg.at(b1.zone, b1.index),
+                                                 sg.at(b1.zone, b1.index));
         }
         const auto f3 = nt_.neighbor(s, mu, +3, 3);
         if (!f3.local()) {
-          hop += lng.link(mu, s) * sg.at(f3.zone, f3.index);
+          hop += detail::staggered_leg_mul<false>(lng.link(mu, s),
+                                                  sg.at(f3.zone, f3.index));
         }
         const auto b3 = nt_.neighbor(s, mu, -3, 3);
         if (!b3.local()) {
-          hop -= adj_mul(lg.at(b3.zone, b3.index), sg.at(b3.zone, b3.index));
+          hop -= detail::staggered_leg_mul<true>(lg.at(b3.zone, b3.index),
+                                                 sg.at(b3.zone, b3.index));
         }
         hop *= Real(0.5);
         out.at(s) += hop;

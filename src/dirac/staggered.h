@@ -13,9 +13,22 @@
 /// odd systems decouple (§3.1): the solver operates on
 ///   (M^dag M)_ee = m^2 - (1/4) D_eo D_oe
 /// plus the multi-shift constants sigma_i of Eq. (4).
+///
+/// Every staggered hop — staggered_hop, StaggeredOperator,
+/// StaggeredSchurOperator and the partitioned interior
+/// (dirac/partitioned.h) — runs detail::staggered_site_hop over neighbour
+/// indices read from a NeighborTable, with -1 for a dropped leg.  A float
+/// field runs it on colour-row lanes (detail::row_lane_site_hop, the third
+/// use of the lane family of linalg/simd.h: rows (0, 1) of a colour vector
+/// in one 128-bit vector, row 2 in another), whose multiply the
+/// partitioned exterior's ghost legs share (detail::staggered_leg_mul).
+/// The scalar body (detail::scalar_staggered_site_hop) serves double,
+/// builds without vector extensions and the tests.
 
+#include <cstdint>
 #include <memory>
 #include <optional>
+#include <type_traits>
 
 #include "dirac/dslash_tune.h"
 #include "dirac/operator.h"
@@ -25,12 +38,141 @@
 #include "fields/lattice_field.h"
 #include "lattice/block_mask.h"
 #include "lattice/neighbor_table.h"
+#include "linalg/gamma.h"
 #include "tune/site_loop.h"
 #include "util/parallel_for.h"
 
 namespace lqcd {
 
-/// out(x) = D in(x) for target sites (see file comment for D).
+namespace detail {
+
+/// Neighbour indices of site \p s for the staggered site body, four per
+/// mu in the order (+1, -1, +3, -3): the table's eo index, or -1 for a leg
+/// the body drops — a ghost entry of a partitioned table, or a leg that
+/// \p cut crosses (the Dirichlet cut).
+inline void staggered_neighbors(const NeighborTable& nt, std::int64_t s,
+                                const LinkCut* cut, std::int64_t* nb) {
+  constexpr int kDist[4] = {+1, -1, +3, -3};
+  for (int mu = 0; mu < kNDim; ++mu) {
+    for (int k = 0; k < 4; ++k) {
+      const int hop = kDist[k] > 0 ? kDist[k] : -kDist[k];
+      const NeighborTable::Ref ref = nt.neighbor(s, mu, kDist[k] / hop, hop);
+      nb[4 * mu + k] = ref.local() ? ref.index : -1;
+    }
+  }
+  if (cut != nullptr) {
+    const Coord x = nt.geometry().eo_coords(s);
+    for (int mu = 0; mu < kNDim; ++mu) {
+      for (int k = 0; k < 4; ++k) {
+        if (cut->crosses(x, mu, kDist[k])) nb[4 * mu + k] = -1;
+      }
+    }
+  }
+}
+
+/// D in at site \p s over the legs whose neighbour index nb[4 mu + k] is
+/// set (-1 drops a leg), in the order (+1, -1, +3, -3) for each mu.  The
+/// scalar staggered site body: double fields and builds without vector
+/// extensions run it, and it is the reference the row-lane body mirrors.
+template <typename Real, typename Gauge>
+inline ColorVector<Real> scalar_staggered_site_hop(const Gauge& fat,
+                                                   const Gauge& lng,
+                                                   const ColorVector<Real>* in,
+                                                   std::int64_t s,
+                                                   const std::int64_t* nb) {
+  ColorVector<Real> hop{};
+  for (int mu = 0; mu < kNDim; ++mu) {
+    const std::int64_t f1 = nb[4 * mu];
+    if (f1 >= 0) hop += fat.link(mu, s) * in[f1];
+    const std::int64_t b1 = nb[4 * mu + 1];
+    if (b1 >= 0) hop -= adj_mul(fat.link(mu, b1), in[b1]);
+    const std::int64_t f3 = nb[4 * mu + 2];
+    if (f3 >= 0) hop += lng.link(mu, s) * in[f3];
+    const std::int64_t b3 = nb[4 * mu + 3];
+    if (b3 >= 0) hop -= adj_mul(lng.link(mu, b3), in[b3]);
+  }
+  return hop;
+}
+
+#ifdef LQCD_SOA_SIMD
+/// scalar_staggered_site_hop for a float field on colour-row lanes
+/// (linalg/gamma.h): each leg loads its spinor into two vectors and
+/// multiplies there, and the accumulator, two vectors from +0, is stored
+/// once.  Its lane ops are the scalar body's IEEE ops in the scalar order,
+/// so the result is bitwise scalar_staggered_site_hop's
+/// (tests/test_staggered.cpp asserts it).
+template <typename Gauge>
+inline ColorVector<float> row_lane_site_hop(const Gauge& fat,
+                                            const Gauge& lng,
+                                            const ColorVector<float>* in,
+                                            std::int64_t s,
+                                            const std::int64_t* nb) {
+  ColorRows acc{};
+  for (int mu = 0; mu < kNDim; ++mu) {
+    const std::int64_t f1 = nb[4 * mu];
+    if (f1 >= 0) {
+      acc += mul_color_rows<false>(fat.link(mu, s), load_color_rows(in[f1]));
+    }
+    const std::int64_t b1 = nb[4 * mu + 1];
+    if (b1 >= 0) {
+      acc -= mul_color_rows<true>(fat.link(mu, b1), load_color_rows(in[b1]));
+    }
+    const std::int64_t f3 = nb[4 * mu + 2];
+    if (f3 >= 0) {
+      acc += mul_color_rows<false>(lng.link(mu, s), load_color_rows(in[f3]));
+    }
+    const std::int64_t b3 = nb[4 * mu + 3];
+    if (b3 >= 0) {
+      acc -= mul_color_rows<true>(lng.link(mu, b3), load_color_rows(in[b3]));
+    }
+  }
+  return store_color_rows(acc);
+}
+#endif
+
+/// The staggered site body every hop of the library runs: the free hop,
+/// StaggeredOperator, StaggeredSchurOperator and the partitioned interior.
+/// row_lane_site_hop for a float field, scalar_staggered_site_hop
+/// otherwise.
+template <typename Real, typename Gauge>
+inline ColorVector<Real> staggered_site_hop(const Gauge& fat, const Gauge& lng,
+                                            const ColorVector<Real>* in,
+                                            std::int64_t s,
+                                            const std::int64_t* nb) {
+#ifdef LQCD_SOA_SIMD
+  if constexpr (std::is_same_v<Real, float>) {
+    return row_lane_site_hop(fat, lng, in, s, nb);
+  } else
+#endif
+  {
+    return scalar_staggered_site_hop<Real>(fat, lng, in, s, nb);
+  }
+}
+
+/// One leg's colour multiply, U v (Adj false) or U^dagger v (Adj true):
+/// on colour-row lanes for float, bitwise operator* / adj_mul, which run
+/// otherwise.  The partitioned exterior's ghost legs run it.
+template <bool Adj, typename Real>
+inline ColorVector<Real> staggered_leg_mul(const Matrix3<Real>& u,
+                                           const ColorVector<Real>& v) {
+#ifdef LQCD_SOA_SIMD
+  if constexpr (std::is_same_v<Real, float>) {
+    return store_color_rows(mul_color_rows<Adj>(u, load_color_rows(v)));
+  } else
+#endif
+  if constexpr (Adj) {
+    return adj_mul(u, v);
+  } else {
+    return u * v;
+  }
+}
+
+}  // namespace detail
+
+/// out(x) = D in(x) for the selected target sites, with the neighbours of
+/// \p nt (the unpartitioned 3-hop table of in's extents).  If \p target is
+/// set, only sites of that parity are written.  If \p mask is given, legs
+/// whose path crosses a block boundary are dropped.
 ///
 /// Templated on the gauge type so thin-link experiments can pass a
 /// CompressedGaugeField, but note asqtad fat/long links are *not* unitary
@@ -39,6 +181,7 @@ namespace lqcd {
 template <typename Real, typename Gauge>
 void staggered_hop(StaggeredField<Real>& out, const Gauge& fat,
                    const Gauge& lng, const StaggeredField<Real>& in,
+                   const NeighborTable& nt,
                    std::optional<Parity> target = std::nullopt,
                    const LinkCut* mask = nullptr) {
   const LatticeGeometry& g = in.geometry();
@@ -47,30 +190,15 @@ void staggered_hop(StaggeredField<Real>& out, const Gauge& fat,
   const std::int64_t end =
       target.has_value() && *target == Parity::Even ? g.half_volume()
                                                     : g.volume();
+  const ColorVector<Real>* psi = in.sites().data();
   tuned_site_loop(
       "staggered_hop",
       detail::dslash_aux<Real>(target, mask != nullptr, gauge_recon(fat)),
       out.sites(), end - begin, [&](std::int64_t idx) {
     const std::int64_t s = begin + idx;
-    const Coord x = g.eo_coords(s);
-    ColorVector<Real> acc{};
-    for (int mu = 0; mu < kNDim; ++mu) {
-      if (mask == nullptr || !mask->crosses(x, mu, +1)) {
-        acc += fat.link(mu, s) * in.at(g.shifted(x, mu, +1));
-      }
-      if (mask == nullptr || !mask->crosses(x, mu, -1)) {
-        const Coord xm = g.shifted(x, mu, -1);
-        acc -= adj_mul(fat.link(mu, g.eo_index(xm)), in.at(xm));
-      }
-      if (mask == nullptr || !mask->crosses(x, mu, +3)) {
-        acc += lng.link(mu, s) * in.at(g.shifted(x, mu, +3));
-      }
-      if (mask == nullptr || !mask->crosses(x, mu, -3)) {
-        const Coord xm3 = g.shifted(x, mu, -3);
-        acc -= adj_mul(lng.link(mu, g.eo_index(xm3)), in.at(xm3));
-      }
-    }
-    out.at(s) = acc;
+    std::int64_t nb[4 * kNDim];
+    detail::staggered_neighbors(nt, s, mask, nb);
+    out.at(s) = detail::staggered_site_hop<Real>(fat, lng, psi, s, nb);
   });
   // 8 fat + 8 long link loads per site (nominal; cut links not subtracted).
   meter_gauge_bytes(gauge_recon(fat), 8 * (end - begin),
@@ -79,58 +207,57 @@ void staggered_hop(StaggeredField<Real>& out, const Gauge& fat,
                     static_cast<int>(sizeof(Real)));
 }
 
-namespace detail {
-
-/// D in at site \p s from the local entries of \p nt: the one staggered
-/// site body of the table-driven operators.  Terms accumulate in the order
-/// (+1, -1, +3, -3) for each mu, the order of staggered_hop, so a table
-/// whose entries are all local reproduces staggered_hop bit for bit.
-/// Ghost entries are skipped; the partitioned exterior kernels add them.
+/// staggered_hop with the shared table of in's extents
+/// (shared_local_neighbors).  The memo holds a table only while some
+/// caller does, so a loop of these calls with no holder builds one per
+/// call: timed loops hold theirs and pass it.
 template <typename Real, typename Gauge>
-ColorVector<Real> staggered_local_hop(const NeighborTable& nt,
-                                      const Gauge& fat, const Gauge& lng,
-                                      const StaggeredField<Real>& in,
-                                      std::int64_t s) {
-  ColorVector<Real> hop{};
-  for (int mu = 0; mu < kNDim; ++mu) {
-    const auto f1 = nt.neighbor(s, mu, +1, 1);
-    if (f1.local()) hop += fat.link(mu, s) * in.at(f1.index);
-    const auto b1 = nt.neighbor(s, mu, -1, 1);
-    if (b1.local()) hop -= adj_mul(fat.link(mu, b1.index), in.at(b1.index));
-    const auto f3 = nt.neighbor(s, mu, +3, 3);
-    if (f3.local()) hop += lng.link(mu, s) * in.at(f3.index);
-    const auto b3 = nt.neighbor(s, mu, -3, 3);
-    if (b3.local()) hop -= adj_mul(lng.link(mu, b3.index), in.at(b3.index));
-  }
-  return hop;
+void staggered_hop(StaggeredField<Real>& out, const Gauge& fat,
+                   const Gauge& lng, const StaggeredField<Real>& in,
+                   std::optional<Parity> target = std::nullopt,
+                   const LinkCut* mask = nullptr) {
+  staggered_hop(out, fat, lng, in, *shared_local_neighbors(in.geometry(), 3),
+                target, mask);
 }
 
-}  // namespace detail
-
-/// The full staggered matrix M = m + D/2 on both parities.
+/// The full staggered matrix M = m + D/2 on both parities: one site loop
+/// over the shared neighbour table, m in + D in / 2 per site with the ops
+/// of the partitioned interior.
 template <typename Real>
 class StaggeredOperator : public LinearOperator<StaggeredField<Real>> {
  public:
   StaggeredOperator(const GaugeField<Real>& fat, const GaugeField<Real>& lng,
                     double mass)
-      : fat_(&fat), lng_(&lng), mass_(mass), tmp_(fat.geometry()) {}
+      : fat_(&fat), lng_(&lng), mass_(mass),
+        nt_(shared_local_neighbors(fat.geometry(), 3)) {}
 
   void apply(StaggeredField<Real>& out,
              const StaggeredField<Real>& in) const override {
     this->count_application();
-    staggered_hop(tmp_, *fat_, *lng_, in);
-    auto is = in.sites();
-    auto os = out.sites();
-    auto ts = tmp_.sites();
+    const LatticeGeometry& g = geometry();
+    const NeighborTable& nt = *nt_;
+    const GaugeField<Real>& fat = *fat_;
+    const GaugeField<Real>& lng = *lng_;
+    const ColorVector<Real>* psi = in.sites().data();
     const Real m = static_cast<Real>(mass_);
-    for (std::size_t i = 0; i < os.size(); ++i) {
-      ColorVector<Real> v = is[i];
+    tuned_site_loop(
+        "staggered_hop",
+        detail::dslash_aux<Real>(std::nullopt, false, gauge_recon(fat)),
+        out.sites(), g.volume(), [&](std::int64_t s) {
+      std::int64_t nb[4 * kNDim];
+      detail::staggered_neighbors(nt, s, nullptr, nb);
+      ColorVector<Real> hop =
+          detail::staggered_site_hop<Real>(fat, lng, psi, s, nb);
+      ColorVector<Real> v = psi[s];
       v *= m;
-      ColorVector<Real> h = ts[i];
-      h *= Real(0.5);
-      v += h;
-      os[i] = v;
-    }
+      hop *= Real(0.5);
+      v += hop;
+      out.at(s) = v;
+    });
+    meter_gauge_bytes(gauge_recon(fat), 8 * g.volume(),
+                      static_cast<int>(sizeof(Real)));
+    meter_gauge_bytes(gauge_recon(lng), 8 * g.volume(),
+                      static_cast<int>(sizeof(Real)));
   }
 
   const LatticeGeometry& geometry() const override { return fat_->geometry(); }
@@ -141,7 +268,7 @@ class StaggeredOperator : public LinearOperator<StaggeredField<Real>> {
   const GaugeField<Real>* fat_;
   const GaugeField<Real>* lng_;
   double mass_;
-  mutable StaggeredField<Real> tmp_;
+  std::shared_ptr<const NeighborTable> nt_;
 };
 
 /// (M^dag M + sigma) restricted to the even checkerboard.  Hermitian
@@ -173,14 +300,17 @@ class StaggeredSchurOperator : public LinearOperator<StaggeredField<Real>> {
     const Reconstruct recon = gauge_recon(fat);
     // tmp_ = D_oe in.  tmp_'s even half is never written or read.
     auto ts = tmp_.sites();
+    const ColorVector<Real>* psi = in.sites().data();
     tuned_site_loop(
         "staggered_schur_hop",
         detail::dslash_aux<Real>(Parity::Odd, false, recon),
         ts.subspan(static_cast<std::size_t>(half)), half,
         [&](std::int64_t idx) {
           const std::int64_t s = half + idx;
+          std::int64_t nb[4 * kNDim];
+          detail::staggered_neighbors(nt, s, nullptr, nb);
           ts[static_cast<std::size_t>(s)] =
-              detail::staggered_local_hop(nt, fat, lng, in, s);
+              detail::staggered_site_hop<Real>(fat, lng, psi, s, nb);
         });
     // out_e = (m^2 + sigma) in_e - D_eo tmp_ / 4, out_o = 0.
     const Real c = static_cast<Real>(mass_ * mass_ + sigma_);
@@ -189,9 +319,11 @@ class StaggeredSchurOperator : public LinearOperator<StaggeredField<Real>> {
         "staggered_schur_hop",
         detail::dslash_aux<Real>(Parity::Even, false, recon), os, half,
         [&](std::int64_t s) {
+          std::int64_t nb[4 * kNDim];
+          detail::staggered_neighbors(nt, s, nullptr, nb);
           ColorVector<Real> h =
-              detail::staggered_local_hop(nt, fat, lng, tmp_, s);
-          ColorVector<Real> v = in.at(s);
+              detail::staggered_site_hop<Real>(fat, lng, ts.data(), s, nb);
+          ColorVector<Real> v = psi[s];
           v *= c;
           h *= Real(-0.25);
           v += h;

@@ -21,7 +21,9 @@
 /// projection, colour multiply and reconstruction are lane permutes, sign
 /// flips, adds and multiplies derived from kGamma at compile time.  That
 /// is the one lane leg of AoS fields; the SoA hop has its own, with a site
-/// per lane (detail::lane_wilson_leg, dirac/wilson_kernel.h).
+/// per lane (detail::lane_wilson_leg, dirac/wilson_kernel.h).  The float
+/// staggered leg's colour multiply runs on the same vectors with the
+/// colour rows across the lanes (detail::mul_color_rows).
 
 #include <array>
 #include <bit>
@@ -288,6 +290,83 @@ inline HalfSpinor<float> mul_half_pairs(const Matrix3<float>& u,
   HalfSpinor<float> r;
   for (int c = 0; c < kNColor; ++c) store_pair(t[c], r[0], r[1], c);
   return r;
+}
+
+// ---------------------------------------------------------------------------
+// Colour-row lanes: the float staggered leg.
+//
+// One colour vector on two 4-float vectors: rows (0, 1) in one as
+// (re, im, re, im), row 2 in the low half of the other, +0 in its high
+// half.  A mat-vec broadcasts v[j] across the lanes for each column j and
+// multiplies it by the link entries of the output rows, so the lanes carry
+// the rows and a leg needs no transpose or horizontal add.
+// ---------------------------------------------------------------------------
+
+/// A colour vector on colour-row lanes: rows (0, 1) in lo, row 2 in hi.
+struct ColorRows {
+  PairLanes lo;
+  PairLanes hi;
+
+  ColorRows& operator+=(const ColorRows& o) {
+    lo += o.lo;
+    hi += o.hi;
+    return *this;
+  }
+  ColorRows& operator-=(const ColorRows& o) {
+    lo -= o.lo;
+    hi -= o.hi;
+    return *this;
+  }
+};
+
+inline ColorRows load_color_rows(const ColorVector<float>& v) {
+  return ColorRows{lane_load<float, 4>(reinterpret_cast<const float*>(&v[0])),
+                   PairLanes{v[2].real(), v[2].imag(), 0.0f, 0.0f}};
+}
+
+inline ColorVector<float> store_color_rows(const ColorRows& r) {
+  ColorVector<float> v;
+  lane_store<float, 4>(reinterpret_cast<float*>(&v[0]), r.lo);
+  v[2] = Cplx<float>(r.hi[0], r.hi[1]);
+  return v;
+}
+
+/// U v (Adj false) or U^dagger v (Adj true) on colour-row lanes: for each
+/// column j, t += z * p + swap(z) * q from t = +0, in j order.  z holds
+/// the link entries of the output rows, u(i, j), or u(j, i) for the
+/// adjoint (rows 0 and 1 one contiguous load); p and q broadcast v[j] as
+/// (re, re, re, re) and (-im, im, -im, im) for U, (re, -re, re, -re) and
+/// (im, im, im, im) for U^dagger.  Per component that is cmul's (or
+/// cmul_conj's) two products and one add, x + (-y) being IEEE's x - y and
+/// the imaginary sum commuted, added in the scalar mat-vec's order, so
+/// every bit matches operator*(Matrix3, ColorVector) and adj_mul.
+template <bool Adj>
+inline ColorRows mul_color_rows(const Matrix3<float>& u, const ColorRows& v) {
+  ColorRows t{};
+  const auto column = [&]<int J>(std::integral_constant<int, J>) {
+    constexpr int kRe = 2 * (J % 2);
+    constexpr PairShuffle kP{{kRe, kRe, kRe, kRe}, {false, Adj, false, Adj}};
+    constexpr PairShuffle kQ{{kRe + 1, kRe + 1, kRe + 1, kRe + 1},
+                             {!Adj, false, !Adj, false}};
+    const PairLanes& src = J < 2 ? v.lo : v.hi;
+    const PairLanes p = shuffle_pair<kP>(src);
+    const PairLanes q = shuffle_pair<kQ>(src);
+    PairLanes zlo;
+    if constexpr (Adj) {
+      zlo = lane_load<float, 4>(reinterpret_cast<const float*>(&u(J, 0)));
+    } else {
+      zlo = PairLanes{u(0, J).real(), u(0, J).imag(), u(1, J).real(),
+                      u(1, J).imag()};
+    }
+    const Cplx<float>& c = Adj ? u(J, 2) : u(2, J);
+    const PairLanes zhi{c.real(), c.imag(), 0.0f, 0.0f};
+    t.lo += zlo * p + swap_re_im(zlo) * q;
+    t.hi += zhi * p + swap_re_im(zhi) * q;
+  };
+  column(std::integral_constant<int, 0>{});
+  column(std::integral_constant<int, 1>{});
+  column(std::integral_constant<int, 2>{});
+  return t;
 }
 
 /// Calls fn(std::integral_constant<int, mu>{}): the pair-lane legs take mu

@@ -1,13 +1,16 @@
 #pragma once
 /// \file simd.h
 /// \brief Build-time SIMD lane abstraction, the one lane family of the
-/// library's lane kernels: across sites in the vector-blocked (SoA) field
-/// layout — the CPU analogue of the paper's float4-style coalesced spinor
-/// ordering (§6.2) — and across the spins of one site in the AoS hop's
-/// spin-pair lanes (linalg/gamma.h).
+/// library's lane kernels, in three uses: across sites in the
+/// vector-blocked (SoA) field layout — the CPU analogue of the paper's
+/// float4-style coalesced spinor ordering (§6.2) — across the spins of one
+/// site in the AoS Wilson hop's spin-pair lanes, and across the colour
+/// rows of one staggered site in its colour-row lanes (both
+/// linalg/gamma.h).
 ///
 /// A "lane pack" holds one real component of kSoaLanes<Real> consecutive
-/// checkerboard sites, or two spins' complex values of one colour.  On
+/// checkerboard sites, two spins' complex values of one colour, or two
+/// colour rows of one colour vector.  On
 /// GNU-compatible compilers the pack is a native GCC vector type, so every
 /// elementwise op is one vertical instruction; on other compilers it
 /// degrades to a fixed-size array with elementwise loops (the portable
@@ -33,7 +36,9 @@
 /// results per site.  There is one Wilson lane leg per layout: AoS fields
 /// run spin-pair lanes (detail::pair_lane_site_hop, dirac/wilson_kernel.h;
 /// tests/test_wilson.cpp asserts the contract against the scalar body),
-/// SoA fields detail::lane_wilson_leg (tests/test_soa.cpp).
+/// SoA fields detail::lane_wilson_leg (tests/test_soa.cpp).  Every float
+/// staggered hop runs colour-row lanes (detail::row_lane_site_hop,
+/// dirac/staggered.h; tests/test_staggered.cpp).
 
 #include <cstdint>
 #include <cstring>

@@ -154,23 +154,38 @@ TEST_P(PartitionedStaggeredTest, TrafficMatchesAnalyticModel) {
   }
 }
 
-TEST_P(PartitionedStaggeredTest, CommsOffEqualsBlockDirichlet) {
+/// The free hop with a block cut against the partitioned operator with
+/// comms off, within \p tol relative to norm2 of the hop.
+template <typename Real>
+void expect_comms_off_equals_block_dirichlet(const Grid& grid, double tol) {
   const LatticeGeometry g({4, 4, 8, 8});
   const GaugeField<double> u = hot_gauge(g, 65);
   const AsqtadLinks links = build_asqtad_links(u);
-  Partitioning part(g, GetParam());
-  BlockMask mask(g, GetParam());
+  const GaugeField<Real> fat = convert_gauge<Real>(links.fat);
+  const GaugeField<Real> lng = convert_gauge<Real>(links.lng);
+  Partitioning part(g, grid);
+  BlockMask mask(g, grid);
 
-  StaggeredField<double> in = gaussian_staggered_source(g, 66);
-  StaggeredField<double> expect(g), got(g);
-  staggered_hop(expect, links.fat, links.lng, in, std::nullopt, &mask);
+  StaggeredField<Real> in =
+      convert_field<Real>(gaussian_staggered_source(g, 66));
+  StaggeredField<Real> expect(g), got(g);
+  staggered_hop(expect, fat, lng, in, std::nullopt, &mask);
   // Dirichlet hop through the partitioned machinery: mass 0 gives D/2.
-  PartitionedStaggered<double> cut_op(part, links.fat, links.lng, 0.0,
-                                      /*comms=*/false);
+  PartitionedStaggered<Real> cut_op(part, fat, lng, 0.0, /*comms=*/false);
   cut_op.apply(got, in);
   scale(2.0, got);  // M = m + D/2 with m = 0
   axpy(-1.0, expect, got);
-  EXPECT_LT(norm2(got), 1e-20 * norm2(expect));
+  EXPECT_LT(norm2(got), tol * norm2(expect));
+}
+
+TEST_P(PartitionedStaggeredTest, CommsOffEqualsBlockDirichlet) {
+  expect_comms_off_equals_block_dirichlet<double>(GetParam(), 1e-20);
+}
+
+TEST_P(PartitionedStaggeredTest, CommsOffEqualsBlockDirichletFloat) {
+  // float rounds each site sum to 24 bits: relative norm2 errors of a few
+  // ulps squared.
+  expect_comms_off_equals_block_dirichlet<float>(GetParam(), 1e-10);
 }
 
 INSTANTIATE_TEST_SUITE_P(Grids, PartitionedStaggeredTest,
@@ -474,6 +489,41 @@ class RankModeDeterminismTest : public ::testing::Test {
     ASSERT_EQ(sa.size(), sb.size());
     EXPECT_EQ(std::memcmp(sa.data(), sb.data(), sa.size_bytes()), 0) << what;
   }
+
+  template <typename Real>
+  static void expect_staggered_apply_bitwise() {
+    // Larger lattice: the asqtad stencil reaches 3 sites, so partitioned
+    // local extents must stay >= 4.
+    const LatticeGeometry g({4, 8, 8, 8});
+    const GaugeField<double> u = hot_gauge(g, 93);
+    const AsqtadLinks links = build_asqtad_links(u);
+    const GaugeField<Real> fat = convert_gauge<Real>(links.fat);
+    const GaugeField<Real> lng = convert_gauge<Real>(links.lng);
+    const StaggeredField<Real> in =
+        convert_field<Real>(gaussian_staggered_source(g, 94));
+
+    const std::vector<Grid> grids{
+        {1, 1, 1, 1}, {1, 1, 1, 2}, {1, 1, 2, 2}, {1, 2, 2, 2}};
+    for (const Grid& grid : grids) {
+      Partitioning part(g, grid);
+      PartitionedStaggered<Real> op(part, fat, lng, 0.03);
+
+      set_rank_mode(RankMode::Seq);
+      set_worker_count(1);
+      StaggeredField<Real> ref(g);
+      op.apply(ref, in);
+
+      for (RankMode m : {RankMode::Seq, RankMode::Threads}) {
+        for (int w : worker_counts()) {
+          set_rank_mode(m);
+          set_worker_count(w);
+          StaggeredField<Real> got(g);
+          op.apply(got, in);
+          expect_bitwise_equal(ref, got, "staggered apply");
+        }
+      }
+    }
+  }
 };
 
 TEST_F(RankModeDeterminismTest, WilsonApplyBitwiseAcrossModesAndWorkers) {
@@ -509,34 +559,14 @@ TEST_F(RankModeDeterminismTest, WilsonApplyBitwiseAcrossModesAndWorkers) {
 }
 
 TEST_F(RankModeDeterminismTest, StaggeredApplyBitwiseAcrossModesAndWorkers) {
-  // Larger lattice: the asqtad stencil reaches 3 sites, so partitioned
-  // local extents must stay >= 4.
-  const LatticeGeometry g({4, 8, 8, 8});
-  const GaugeField<double> u = hot_gauge(g, 93);
-  const AsqtadLinks links = build_asqtad_links(u);
-  const StaggeredField<double> in = gaussian_staggered_source(g, 94);
+  expect_staggered_apply_bitwise<double>();
+}
 
-  const std::vector<Grid> grids{
-      {1, 1, 1, 1}, {1, 1, 1, 2}, {1, 1, 2, 2}, {1, 2, 2, 2}};
-  for (const Grid& grid : grids) {
-    Partitioning part(g, grid);
-    PartitionedStaggered<double> op(part, links.fat, links.lng, 0.03);
-
-    set_rank_mode(RankMode::Seq);
-    set_worker_count(1);
-    StaggeredField<double> ref(g);
-    op.apply(ref, in);
-
-    for (RankMode m : {RankMode::Seq, RankMode::Threads}) {
-      for (int w : worker_counts()) {
-        set_rank_mode(m);
-        set_worker_count(w);
-        StaggeredField<double> got(g);
-        op.apply(got, in);
-        expect_bitwise_equal(ref, got, "staggered apply");
-      }
-    }
-  }
+TEST_F(RankModeDeterminismTest,
+       StaggeredFloatApplyBitwiseAcrossModesAndWorkers) {
+  // The float interior runs the colour-row lane body, the exterior its
+  // ghost-leg multiply.
+  expect_staggered_apply_bitwise<float>();
 }
 
 TEST_F(RankModeDeterminismTest, ThreadsModeReportsOverlapPhases) {

@@ -1,13 +1,18 @@
 // Improved staggered (asqtad) operator: dense cross-check, anti-Hermitian
-// derivative, parity decoupling of M^dag M, and the table-driven Schur
-// apply against the hop-by-hop sequence it replaced, bit for bit.
+// derivative, parity decoupling of M^dag M, the colour-row lane site body
+// against the scalar one, and the table-driven Schur apply against the
+// hop-by-hop sequence it replaced, bit for bit.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <latch>
 #include <limits>
 #include <memory>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dirac/dense_reference.h"
@@ -18,6 +23,7 @@
 #include "gauge/staggered_links.h"
 #include "obs/metrics.h"
 #include "util/parallel_for.h"
+#include "util/rng.h"
 
 namespace lqcd {
 namespace {
@@ -187,6 +193,125 @@ TEST(Staggered, DirichletCutKeepsBlockSupport) {
       ASSERT_EQ(norm2(out.at(s)), 0.0);
     }
   }
+}
+
+#ifdef LQCD_SOA_SIMD
+/// A random float of magnitude 10^e, e uniform in [-30, max_exp], with a
+/// random sign; one draw in 16 is instead +-0 or a subnormal.
+float spread_float(Rng& rng, double max_exp) {
+  using Lim = std::numeric_limits<float>;
+  const float specials[] = {0.0f, -0.0f, Lim::denorm_min(), -Lim::denorm_min(),
+                            Lim::min() / 1024.0f, -Lim::min() / 3.0f};
+  if (rng.below(16) == 0) return specials[rng.below(std::size(specials))];
+  const double mag = std::pow(10.0, rng.uniform(-30.0, max_exp));
+  return static_cast<float>(rng.below(2) == 0 ? mag : -mag);
+}
+
+ColorVector<float> spread_vector(Rng& rng, double max_exp) {
+  ColorVector<float> v;
+  for (int c = 0; c < kNColor; ++c) {
+    const float re = spread_float(rng, max_exp);
+    v[c] = Cplx<float>(re, spread_float(rng, max_exp));
+  }
+  return v;
+}
+
+Matrix3<float> spread_matrix(Rng& rng, double max_exp) {
+  Matrix3<float> u;
+  for (auto& z : u.m) {
+    const float re = spread_float(rng, max_exp);
+    z = Cplx<float>(re, spread_float(rng, max_exp));
+  }
+  return u;
+}
+
+/// Sites where the row-lane body and the scalar body differ, over every
+/// site and every drop mask (bit 4mu + k drops leg k of mu, legs ordered
+/// +1, -1, +3, -3): none dropped, each single leg, and 64 random masks.
+int count_row_lane_mismatches(const GaugeField<float>& fat,
+                              const GaugeField<float>& lng,
+                              const StaggeredField<float>& in, Rng& rng) {
+  const LatticeGeometry& g = in.geometry();
+  const NeighborTable nt(g, {}, 3);
+  std::vector<std::uint32_t> masks{0};
+  for (int k = 0; k < 4 * kNDim; ++k) masks.push_back(1u << k);
+  for (int k = 0; k < 64; ++k) {
+    masks.push_back(static_cast<std::uint32_t>(rng.below(1u << 16)));
+  }
+  const ColorVector<float>* psi = in.sites().data();
+  int mismatches = 0;
+  for (const std::uint32_t mask : masks) {
+    for (std::int64_t s = 0; s < g.volume(); ++s) {
+      std::int64_t nb[4 * kNDim];
+      detail::staggered_neighbors(nt, s, nullptr, nb);
+      for (int k = 0; k < 4 * kNDim; ++k) {
+        if ((mask >> k & 1u) != 0) nb[k] = -1;
+      }
+      const ColorVector<float> lanes =
+          detail::row_lane_site_hop(fat, lng, psi, s, nb);
+      const ColorVector<float> scalar =
+          detail::scalar_staggered_site_hop<float>(fat, lng, psi, s, nb);
+      if (std::memcmp(&lanes, &scalar, sizeof lanes) != 0) ++mismatches;
+    }
+  }
+  return mismatches;
+}
+
+/// The exterior kernels' ghost-leg multiply on colour-row lanes against
+/// the scalar operator* and adj_mul.
+int count_leg_mul_mismatches(Rng& rng, double vector_exp, double link_exp) {
+  int mismatches = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    const ColorVector<float> v = spread_vector(rng, vector_exp);
+    const Matrix3<float> u = spread_matrix(rng, link_exp);
+    const ColorVector<float> fwd = detail::staggered_leg_mul<false>(u, v);
+    const ColorVector<float> fwd_expect = u * v;
+    const ColorVector<float> bwd = detail::staggered_leg_mul<true>(u, v);
+    const ColorVector<float> bwd_expect = adj_mul(u, v);
+    if (std::memcmp(&fwd, &fwd_expect, sizeof fwd) != 0) ++mismatches;
+    if (std::memcmp(&bwd, &bwd_expect, sizeof bwd) != 0) ++mismatches;
+  }
+  return mismatches;
+}
+#endif
+
+TEST(Staggered, RowLaneSiteHopBitwiseMatchesScalarBody) {
+#ifndef LQCD_SOA_SIMD
+  GTEST_SKIP() << "no vector extensions: every hop runs the scalar body";
+#else
+  // The colour-row lane body every float staggered hop runs against the
+  // scalar body, memcmp per site, on lattices where the 3-hop legs wrap.
+  // Components span 10^-30 to 10^30, +-0 and subnormals, so products
+  // underflow and round differently in any other order.  The spinors
+  // reach 10^30 with links up to 10^6, then the other way round: a site's
+  // sums stay below FLT_MAX, because an Inf - Inf in a sum gives a NaN
+  // whose sign IEEE leaves open.
+  Rng rng(51);
+  for (const LatticeGeometry& g :
+       {LatticeGeometry({4, 4, 4, 4}), LatticeGeometry({4, 4, 6, 8})}) {
+    StaggeredField<float> in(g);
+    GaugeField<float> fat(g);
+    GaugeField<float> lng(g);
+    for (const auto& [spinor_exp, link_exp] : {std::pair{30.0, 6.0},
+                                               std::pair{6.0, 30.0}}) {
+      for (auto& site : in.sites()) site = spread_vector(rng, spinor_exp);
+      for (GaugeField<float>* u : {&fat, &lng}) {
+        for (int mu = 0; mu < kNDim; ++mu) {
+          for (std::int64_t s = 0; s < g.volume(); ++s) {
+            u->link(mu, s) = spread_matrix(rng, link_exp);
+          }
+        }
+      }
+      const std::string where = "z, t extents " + std::to_string(g.dim(2)) +
+                                ", " + std::to_string(g.dim(3)) +
+                                "; spinors to 1e" +
+                                std::to_string(static_cast<int>(spinor_exp));
+      EXPECT_EQ(count_row_lane_mismatches(fat, lng, in, rng), 0) << where;
+      EXPECT_EQ(count_leg_mul_mismatches(rng, spinor_exp, link_exp), 0)
+          << "ghost legs, " << where;
+    }
+  }
+#endif
 }
 
 // The Schur apply as it ran before the neighbour table: staggered_hop on
