@@ -1,11 +1,12 @@
 // Microbenchmarks of the real CPU Dirac-operator kernels in this library:
 // Wilson hop (projection trick vs full-spinor reference), Wilson-clover,
 // the improved staggered hop, and the even-odd Schur operators.  Counters
-// report sustained Mflops using the standard per-site conventions.  The
-// kernels that run their sites on the worker pool are timed on the wall
-// clock (UseRealTime): a kIsRate counter divides by the timing thread's
-// CPU time otherwise, which overstates the rate.  Each of those runs one
-// untimed apply first, so the tune sweep stays out of the timed loop.
+// report sustained Mflops using the standard per-site conventions.  Every
+// bench is timed on the wall clock (UseRealTime): for a kernel that runs
+// its sites on the worker pool, a kIsRate counter divides by the timing
+// thread's CPU time otherwise, which overstates the rate.  Each tuned
+// kernel runs one untimed apply first, so the tune sweep stays out of the
+// timed loop.
 
 #include <benchmark/benchmark.h>
 
@@ -20,13 +21,11 @@
 #include "dirac/partitioned.h"
 #include "dirac/partitioned_schur.h"
 #include "dirac/recon_policy.h"
-#include "dirac/soa_kernel.h"
 #include "dirac/staggered.h"
 #include "dirac/wilson_kernel.h"
 #include "dirac/wilson_ops.h"
 #include "fields/compressed_gauge.h"
 #include "fields/precision.h"
-#include "fields/soa_field.h"
 #include "gauge/clover_leaf.h"
 #include "gauge/configure.h"
 #include "gauge/staggered_links.h"
@@ -49,8 +48,7 @@ int bench_extent() {
 
 // Streamed bytes per Wilson hop application: per site, 8 neighbour spinor
 // loads + 1 spinor store (24 reals each) and 8 gauge links at the packed
-// width.  The same accounting for AoS and SoA runs makes their
-// bytes_per_second counters directly comparable in BENCH_dslash.json.
+// width.
 double wilson_hop_bytes(const LatticeGeometry& g, Reconstruct scheme,
                         int real_bytes) {
   const double per_site =
@@ -99,11 +97,14 @@ void BM_WilsonHopReference(benchmark::State& state) {
           static_cast<double>(f.g.volume()) / 1e6,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_WilsonHopReference)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WilsonHopReference)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_WilsonCloverApply(benchmark::State& state) {
   WilsonFixture f;
   WilsonCloverOperator<double> m(f.u, &f.clover, -0.1);
+  m.apply(f.out, f.in);  // untimed: runs the tune sweep
   for (auto _ : state) {
     m.apply(f.out, f.in);
     benchmark::DoNotOptimize(f.out.sites().data());
@@ -114,7 +115,9 @@ void BM_WilsonCloverApply(benchmark::State& state) {
           static_cast<double>(f.g.volume()) / 1e6,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_WilsonCloverApply)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WilsonCloverApply)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // The clover site algebra alone: clover_apply over the odd half of an L^4
 // float field (8^4 unless LQCD_BENCH_L says otherwise), sites on the
@@ -141,12 +144,15 @@ void BM_WilsonSchurApply(benchmark::State& state) {
   for (std::int64_t s = f.g.half_volume(); s < f.g.volume(); ++s) {
     f.in.at(s) = WilsonSpinor<double>{};
   }
+  schur.apply(f.out, f.in);  // untimed: runs the tune sweep
   for (auto _ : state) {
     schur.apply(f.out, f.in);
     benchmark::DoNotOptimize(f.out.sites().data());
   }
 }
-BENCHMARK(BM_WilsonSchurApply)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WilsonSchurApply)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_WilsonHopSinglePrecision(benchmark::State& state) {
   WilsonFixture f;
@@ -242,64 +248,6 @@ BENCHMARK(BM_WilsonHopRecon)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// The lane-blocked SoA hop (dirac/soa_kernel.h) on the same volume and
-// gauge formats as BM_WilsonHopRecon: the bytes_per_second delta between
-// the two is the layout's streaming payoff (transmutes excluded — steady
-// state keeps fields resident in SoA form, as the SoA operator does).
-void BM_WilsonHopSoA(benchmark::State& state) {
-  WilsonFixture f;
-  const auto scheme = static_cast<Reconstruct>(state.range(0));
-  const SoAGaugeField<double> su(f.u, scheme);
-  SoAWilsonField<double> sin(f.g), sout(f.g);
-  to_soa(f.in, sin);
-  wilson_hop_soa(sout, su, sin);  // untimed: runs the tune sweep
-  for (auto _ : state) {
-    wilson_hop_soa(sout, su, sin);
-    benchmark::DoNotOptimize(sout.raw().data());
-  }
-  state.counters["Mflops"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * kWilsonDslashFlopsPerSite *
-          static_cast<double>(f.g.volume()) / 1e6,
-      benchmark::Counter::kIsRate);
-  state.counters["bytes_per_second"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) *
-          wilson_hop_bytes(f.g, scheme, sizeof(double)),
-      benchmark::Counter::kIsRate);
-  state.SetLabel(std::string("soa/recon") + to_string(scheme));
-}
-BENCHMARK(BM_WilsonHopSoA)
-    ->Arg(18)
-    ->Arg(12)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-// Single precision doubles the lane count (4 sites per 128-bit block).
-void BM_WilsonHopSoASinglePrecision(benchmark::State& state) {
-  WilsonFixture f;
-  const GaugeField<float> uf = convert_gauge<float>(f.u);
-  const WilsonField<float> inf = convert_field<float>(f.in);
-  const SoAGaugeField<float> su(uf, Reconstruct::None);
-  SoAWilsonField<float> sin(f.g), sout(f.g);
-  to_soa(inf, sin);
-  wilson_hop_soa(sout, su, sin);  // untimed: runs the tune sweep
-  for (auto _ : state) {
-    wilson_hop_soa(sout, su, sin);
-    benchmark::DoNotOptimize(sout.raw().data());
-  }
-  state.counters["Mflops"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * kWilsonDslashFlopsPerSite *
-          static_cast<double>(f.g.volume()) / 1e6,
-      benchmark::Counter::kIsRate);
-  state.counters["bytes_per_second"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) *
-          wilson_hop_bytes(f.g, Reconstruct::None, sizeof(float)),
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_WilsonHopSoASinglePrecision)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
 // Half storage emulation on top of reconstruction (the paper's production
 // config): packed reals round-trip the int16 fixed-point codec.
 void BM_WilsonHopReconHalf(benchmark::State& state) {
@@ -324,6 +272,7 @@ void BM_WilsonCloverApplyRecon(benchmark::State& state) {
   WilsonFixture f;
   const auto scheme = static_cast<Reconstruct>(state.range(0));
   WilsonCloverOperator<double> m(f.u, &f.clover, -0.1, nullptr, scheme);
+  m.apply(f.out, f.in);  // untimed: runs the tune sweep
   for (auto _ : state) {
     m.apply(f.out, f.in);
     benchmark::DoNotOptimize(f.out.sites().data());
@@ -339,7 +288,8 @@ BENCHMARK(BM_WilsonCloverApplyRecon)
     ->Arg(18)
     ->Arg(12)
     ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // The free hop D over the whole 8^4 lattice.  The site loop runs on the
 // worker pool, so the time (and the Mflops rate) is wall-clock.

@@ -63,7 +63,7 @@ inline std::string to_string(WireFormat f) {
 }
 
 /// Version token of the wire codec's byte layout, written into the
-/// tunecache header next to the SoA lane token: a cached `*_ghost_wire`
+/// tunecache header after the format version: a cached `*_ghost_wire`
 /// (or pre-recon `*_ghost_prec`) winner was timed against a specific
 /// codec, so a layout change — or a cache written before the recon axis
 /// existed at all — must invalidate the file wholesale.

@@ -10,7 +10,6 @@
 
 #include "fields/lattice_field.h"
 #include "linalg/reconstruct.h"
-#include "linalg/simd.h"
 
 namespace lqcd::detail {
 
@@ -27,8 +26,5 @@ std::string dslash_aux(const std::optional<Parity>& target, bool cut,
   if (recon != Reconstruct::None) aux += std::string(",r") + to_string(recon);
   return aux;
 }
-
-// The SoA layout fragment (detail::soa_aux<Real>) lives with the lane
-// abstraction in linalg/simd.h, pulled in above.
 
 }  // namespace lqcd::detail

@@ -21,19 +21,14 @@
 /// template parameter.  Each site resolves its neighbour indices once and
 /// runs the one Wilson site body (detail::wilson_site_hop) per RHS: for a
 /// float field that is the spin-pair lane leg (linalg/gamma.h), the one
-/// lane leg of every AoS hop; detail::lane_wilson_leg serves only the SoA
-/// hop (dirac/soa_kernel.h).
+/// Wilson lane leg.  wilson_hop_multi runs at every width, width 1
+/// included.
 ///
 /// Gauge traffic is metered nominally, once per link per site for the
 /// whole group, not once per RHS, so `dslash.gauge_bytes` reflects the
 /// amortization the batch is for: the per-RHS bodies reload each link,
 /// and those reloads hit L1 (a compressed field's links are rebuilt once
 /// per site and served from a SiteLinks copy).
-///
-/// The batched path stays AoS by design: keeping the RHS containers AoS
-/// lets the service accept and return caller-owned fields with no layout
-/// round trip.  wilson_hop_multi runs at every width, width 1 included;
-/// LQCD_LAYOUT reaches only WilsonCloverOperator.
 
 #include <algorithm>
 #include <memory>

@@ -94,7 +94,7 @@ inline ColorVector<Real> scalar_staggered_site_hop(const Gauge& fat,
   return hop;
 }
 
-#ifdef LQCD_SOA_SIMD
+#ifdef LQCD_LANE_SIMD
 /// scalar_staggered_site_hop for a float field on colour-row lanes
 /// (linalg/gamma.h): each leg loads its spinor into two vectors and
 /// multiplies there, and the accumulator, two vectors from +0, is stored
@@ -139,7 +139,7 @@ inline ColorVector<Real> staggered_site_hop(const Gauge& fat, const Gauge& lng,
                                             const ColorVector<Real>* in,
                                             std::int64_t s,
                                             const std::int64_t* nb) {
-#ifdef LQCD_SOA_SIMD
+#ifdef LQCD_LANE_SIMD
   if constexpr (std::is_same_v<Real, float>) {
     return row_lane_site_hop(fat, lng, in, s, nb);
   } else
@@ -155,7 +155,7 @@ inline ColorVector<Real> staggered_site_hop(const Gauge& fat, const Gauge& lng,
 template <bool Adj, typename Real>
 inline ColorVector<Real> staggered_leg_mul(const Matrix3<Real>& u,
                                            const ColorVector<Real>& v) {
-#ifdef LQCD_SOA_SIMD
+#ifdef LQCD_LANE_SIMD
   if constexpr (std::is_same_v<Real, float>) {
     return store_color_rows(mul_color_rows<Adj>(u, load_color_rows(v)));
   } else

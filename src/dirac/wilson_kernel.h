@@ -14,15 +14,13 @@
 /// reference path (wilson_hop_reference) exists for cross-checking.
 ///
 /// Every Wilson hop of the library — these kernels, the multi-RHS hop
-/// (dirac/multi_rhs.h), the SoA hop (dirac/soa_kernel.h) and the
-/// partitioned interior (dirac/partitioned.h) — runs detail::wilson_site_hop
-/// over neighbour indices, with -1 for a dropped leg.  There are two lane
-/// legs: a float AoS field runs every leg on spin-pair lanes
+/// (dirac/multi_rhs.h) and the partitioned interior (dirac/partitioned.h)
+/// — runs detail::wilson_site_hop over neighbour indices, with -1 for a
+/// dropped leg.  A float field runs every leg on spin-pair lanes
 /// (detail::pair_lane_site_hop, linalg/gamma.h), which the partitioned
-/// exterior's ghost legs share (detail::ghost_site_hop); the SoA hop runs
-/// detail::lane_wilson_leg with a site per lane.  The scalar body
-/// (detail::scalar_site_hop) serves double, the SoA gathering views and
-/// builds without vector extensions.
+/// exterior's ghost legs share (detail::ghost_site_hop); the scalar body
+/// (detail::scalar_site_hop) serves double and builds without vector
+/// extensions.
 ///
 /// All kernels are templated on the gauge type: a `GaugeField` (full
 /// 18-real links) or a `CompressedGaugeField` (reconstruct-12/-8 storage,
@@ -79,13 +77,13 @@ inline void wilson_neighbors(const NeighborTable& nt, std::int64_t s,
 
 /// The Wilson hop D in at site \p s over the legs whose neighbour index is
 /// set (-1 drops a leg), in mu order, forward leg before backward:
-/// project -> SU(3) mat-vec -> accumulate-reconstruct.  The scalar Wilson
-/// site body: double fields, the SoA gathering views and builds without
-/// vector extensions run it, and it is the reference the lane forms
-/// mirror.  \p in[i] is the spinor at eo index i — a site pointer for AoS
-/// fields, a gathering view for SoA ones.
-template <typename Real, typename Gauge, typename In>
-inline WilsonSpinor<Real> scalar_site_hop(const Gauge& u, const In& in,
+/// project -> SU(3) mat-vec -> accumulate-reconstruct.  \p in[i] is the
+/// spinor at eo index i.  The scalar Wilson site body: double fields and
+/// builds without vector extensions run it, and it is the reference the
+/// lane form mirrors.
+template <typename Real, typename Gauge>
+inline WilsonSpinor<Real> scalar_site_hop(const Gauge& u,
+                                          const WilsonSpinor<Real>* in,
                                           std::int64_t s,
                                           const std::int64_t* sp,
                                           const std::int64_t* sm) {
@@ -107,8 +105,8 @@ inline WilsonSpinor<Real> scalar_site_hop(const Gauge& u, const In& in,
   return acc;
 }
 
-#ifdef LQCD_SOA_SIMD
-/// scalar_site_hop for a float AoS field on spin-pair lanes (linalg/gamma.h):
+#ifdef LQCD_LANE_SIMD
+/// scalar_site_hop for a float field on spin-pair lanes (linalg/gamma.h):
 /// each leg projects, multiplies and reconstructs on six register vectors,
 /// and the accumulator, two pairs per colour from +0, is stored once.  Its
 /// lane ops are the scalar body's IEEE ops in the scalar order, so the
@@ -143,19 +141,20 @@ inline WilsonSpinor<float> pair_lane_site_hop(const Gauge& u,
 #endif
 
 /// The Wilson site body every hop of the library runs: pair_lane_site_hop
-/// for a float AoS field, scalar_site_hop otherwise.
-template <typename Real, typename Gauge, typename In>
-inline WilsonSpinor<Real> wilson_site_hop(const Gauge& u, const In& in,
+/// for float, scalar_site_hop otherwise.
+template <typename Real, typename Gauge>
+inline WilsonSpinor<Real> wilson_site_hop(const Gauge& u,
+                                          const WilsonSpinor<Real>* in,
                                           std::int64_t s,
                                           const std::int64_t* sp,
                                           const std::int64_t* sm) {
-#ifdef LQCD_SOA_SIMD
-  if constexpr (std::is_same_v<In, const WilsonSpinor<float>*>) {
+#ifdef LQCD_LANE_SIMD
+  if constexpr (std::is_same_v<Real, float>) {
     return pair_lane_site_hop(u, in, s, sp, sm);
   } else
 #endif
   {
-    return scalar_site_hop<Real>(u, in, s, sp, sm);
+    return scalar_site_hop(u, in, s, sp, sm);
   }
 }
 
@@ -170,7 +169,7 @@ inline WilsonSpinor<Real> ghost_site_hop(const Gauge& u, int mu,
                                          const HalfSpinor<Real>* fwd,
                                          const Matrix3<Real>* bwd_link,
                                          const HalfSpinor<Real>* bwd) {
-#ifdef LQCD_SOA_SIMD
+#ifdef LQCD_LANE_SIMD
   if constexpr (std::is_same_v<Real, float>) {
     return with_static_mu(mu, [&]<int Mu>(std::integral_constant<int, Mu>) {
       PairLanes lo[kNColor]{};
@@ -216,57 +215,6 @@ inline WilsonSpinor<Real> wilson_clover_site(WilsonSpinor<Real> hop,
   hop *= Real(-0.5);
   v += hop;
   return v;
-}
-
-/// One hop leg of the SoA hop (dirac/soa_kernel.h) on N lanes, one site per
-/// lane: project (1 + sign*gamma_mu), SU(3) mat-vec (adjoint via
-/// conjugated transposed entries, as adj_mul), accumulate-reconstruct,
-/// mirroring project()/operator*/adj_mul()/accumulate_reconstruct()
-/// operation for operation, so each lane's bits are the scalar body's
-/// (linalg/simd.h, "Bitwise contract").  \p link(i, j) returns each lane's
-/// own link entry (i, j) in lane form.
-template <typename Real, int N, typename Link>
-inline void lane_wilson_leg(const Link& link, int mu, int sign, bool adjoint,
-                            const CplxLanes<Real, N> psi[kNSpin][kNColor],
-                            CplxLanes<Real, N> acc[kNSpin][kNColor]) {
-  const GammaPattern& gp = kGamma[static_cast<std::size_t>(mu)];
-  // project(): h[a][c] = psi[a][c] +- i^phase[a] psi[col[a]][c].  The
-  // scalar `x + (-t)` is IEEE-identical to `x - t`.
-  CplxLanes<Real, N> h[2][kNColor];
-  for (int a = 0; a < 2; ++a) {
-    const auto aa = static_cast<std::size_t>(a);
-    for (int c = 0; c < kNColor; ++c) {
-      const CplxLanes<Real, N> t =
-          cl_mul_i_pow(gp.phase[aa], psi[gp.col[aa]][c]);
-      h[a][c] = sign > 0 ? cl_add(psi[a][c], t) : cl_sub(psi[a][c], t);
-    }
-  }
-  // t[a][i] = sum_j L(i,j) h[a][j] (or conj(L(j,i)) for the adjoint),
-  // accumulating from zero in j order exactly as the scalar mat-vec does.
-  CplxLanes<Real, N> t[2][kNColor];
-  for (int i = 0; i < kNColor; ++i) {
-    CplxLanes<Real, N> row[kNColor];
-    for (int j = 0; j < kNColor; ++j) {
-      row[j] = adjoint ? cl_conj(link(j, i)) : link(i, j);
-    }
-    for (int a = 0; a < 2; ++a) {
-      CplxLanes<Real, N> sum{};
-      for (int j = 0; j < kNColor; ++j) cl_mul_acc(sum, row[j], h[a][j]);
-      t[a][i] = sum;
-    }
-  }
-  // accumulate_reconstruct(): out[a] += t[a]; out[col[a]] +-= conj-phase t.
-  for (int a = 0; a < 2; ++a) {
-    const auto aa = static_cast<std::size_t>(a);
-    const int c_row = gp.col[aa];
-    const int conj_phase = (4 - gp.phase[aa]) & 3;
-    for (int c = 0; c < kNColor; ++c) {
-      acc[a][c] = cl_add(acc[a][c], t[a][c]);
-      const CplxLanes<Real, N> v = cl_mul_i_pow(conj_phase, t[a][c]);
-      acc[c_row][c] =
-          sign > 0 ? cl_add(acc[c_row][c], v) : cl_sub(acc[c_row][c], v);
-    }
-  }
 }
 
 }  // namespace detail

@@ -5,10 +5,8 @@
 #include <memory>
 #include <optional>
 
-#include "dirac/layout_policy.h"
 #include "dirac/operator.h"
 #include "dirac/recon_policy.h"
-#include "dirac/soa_kernel.h"
 #include "dirac/wilson_kernel.h"
 #include "fields/clover.h"
 #include "fields/compressed_gauge.h"
@@ -24,11 +22,6 @@ namespace lqcd {
 /// it can be forced per operator (\p recon) or process-wide via LQCD_RECON,
 /// and LQCD_RECON=tune lets the autotuner pick the fastest format for this
 /// kernel/volume (policy tunable, cached as `wilson_clover_recon`).
-///
-/// The data layout is a second policy axis (LQCD_LAYOUT=aos|soa|tune,
-/// cached as `wilson_clover_layout`): with Layout::SoA the hop executes on
-/// the lane-blocked SoA fields (dirac/soa_kernel.h) with bit-identical
-/// results, so unlike recon this axis is numerics-neutral.
 template <typename Real>
 class WilsonCloverOperator : public LinearOperator<WilsonField<Real>> {
  public:
@@ -56,38 +49,11 @@ class WilsonCloverOperator : public LinearOperator<WilsonField<Real>> {
     // Keep only the selected format resident.
     if (recon_ != Reconstruct::Twelve) c12_.reset();
     if (recon_ != Reconstruct::Eight) c8_.reset();
-    // Second policy axis: the data layout.  Both candidates are bitwise
-    // identical (the SoA hop mirrors the scalar arithmetic per lane), so
-    // the sweep is numerics-neutral.
-    layout_ = select_layout(
-        "wilson_clover",
-        detail::dslash_aux<Real>(std::nullopt, mask != nullptr, recon_),
-        u.geometry().volume(), Layout::AoS, [&](Layout l) {
-          if (!tin) {
-            tin = std::make_unique<WilsonField<Real>>(u.geometry());
-            tout = std::make_unique<WilsonField<Real>>(u.geometry());
-          }
-          if (l == Layout::SoA) {
-            ensure_soa();
-            wilson_clover_apply_soa(*tout, *soa_, a_, mass_, *tin, mask_);
-          } else {
-            apply_with(recon_, *tout, *tin);
-          }
-        });
-    if (layout_ == Layout::SoA) {
-      ensure_soa();
-    } else {
-      soa_.reset();
-    }
   }
 
   void apply(WilsonField<Real>& out, const WilsonField<Real>& in) const override {
     this->count_application();
-    if (layout_ == Layout::SoA) {
-      wilson_clover_apply_soa(out, *soa_, a_, mass_, in, mask_);
-    } else {
-      apply_with(recon_, out, in);
-    }
+    apply_with(recon_, out, in);
   }
 
   const LatticeGeometry& geometry() const override { return u_->geometry(); }
@@ -96,15 +62,8 @@ class WilsonCloverOperator : public LinearOperator<WilsonField<Real>> {
   const GaugeField<Real>& gauge() const { return *u_; }
   const CloverField<Real>* clover() const { return a_; }
   Reconstruct recon() const { return recon_; }
-  Layout layout() const { return layout_; }
 
  private:
-  void ensure_soa() const {
-    if (!soa_) {
-      soa_ = std::make_unique<SoaWilsonWorkspace<Real>>(*u_, recon_);
-    }
-  }
-
   void ensure_compressed(Reconstruct r) {
     if (r == Reconstruct::Twelve && !c12_) {
       c12_ = std::make_unique<CompressedGaugeField<Real>>(*u_,
@@ -136,14 +95,12 @@ class WilsonCloverOperator : public LinearOperator<WilsonField<Real>> {
   const CloverField<Real>* a_;
   double mass_;
   const LinkCut* mask_;
-  /// The neighbour table of the AoS applies, held so that the shared table
-  /// is built once per operator, not per call.
+  /// The neighbour table of the applies, held so that the shared table is
+  /// built once per operator, not per call.
   std::shared_ptr<const NeighborTable> nt_;
   Reconstruct recon_ = Reconstruct::None;
-  Layout layout_ = Layout::AoS;
   std::unique_ptr<CompressedGaugeField<Real>> c12_;
   std::unique_ptr<CompressedGaugeField<Real>> c8_;
-  mutable std::unique_ptr<SoaWilsonWorkspace<Real>> soa_;
 };
 
 /// gamma5 M — Hermitian when M is gamma5-Hermitian; used in tests and for

@@ -20,10 +20,9 @@
 /// vector per colour holds spins (0, 1), another spins (2, 3), and
 /// projection, colour multiply and reconstruction are lane permutes, sign
 /// flips, adds and multiplies derived from kGamma at compile time.  That
-/// is the one lane leg of AoS fields; the SoA hop has its own, with a site
-/// per lane (detail::lane_wilson_leg, dirac/wilson_kernel.h).  The float
-/// staggered leg's colour multiply runs on the same vectors with the
-/// colour rows across the lanes (detail::mul_color_rows).
+/// is the one Wilson lane leg.  The float staggered leg's colour multiply
+/// runs on the same vectors with the colour rows across the lanes
+/// (detail::mul_color_rows).
 
 #include <array>
 #include <bit>
@@ -119,9 +118,9 @@ struct HalfSpinor {
 
 namespace detail {
 
-#ifdef LQCD_SOA_SIMD
+#ifdef LQCD_LANE_SIMD
 // ---------------------------------------------------------------------------
-// Spin-pair lanes: the float Wilson leg of every AoS hop.
+// Spin-pair lanes: the float Wilson leg of every hop.
 //
 // A 4-float vector holds two spins of one colour, (re, im, re, im): per
 // colour c, one vector holds spins (0, 1) and one spins (2, 3) of a
@@ -193,7 +192,7 @@ constexpr PairShuffle reconstruct_shuffle(int mu, int sign) {
 /// Applies \p S: one shuffle and, where a lane flips, one xor.
 template <PairShuffle S>
 inline PairLanes shuffle_pair(const PairLanes& v) {
-  using Bits = LaneVecImpl<std::int32_t, 4>::type;
+  using Bits = LaneVec<std::int32_t, 4>;
   constexpr std::int32_t kSign = std::numeric_limits<std::int32_t>::min();
   const PairLanes r{v[S.src[0]], v[S.src[1]], v[S.src[2]], v[S.src[3]]};
   constexpr Bits mask{S.neg[0] ? kSign : 0, S.neg[1] ? kSign : 0,
@@ -389,7 +388,7 @@ inline decltype(auto) with_static_mu(int mu, Fn&& fn) {
 /// vectors on one set of lanes (detail::mul_half_lanes).
 template <typename Real>
 HalfSpinor<Real> operator*(const Matrix3<Real>& u, const HalfSpinor<Real>& h) {
-#ifdef LQCD_SOA_SIMD
+#ifdef LQCD_LANE_SIMD
   if constexpr (std::is_same_v<Real, float>) {
     return detail::mul_half_pairs<false>(u, h);
   } else
@@ -405,7 +404,7 @@ HalfSpinor<Real> operator*(const Matrix3<Real>& u, const HalfSpinor<Real>& h) {
 /// U^dagger applied to both color vectors of h, bitwise adj_mul on each.
 template <typename Real>
 HalfSpinor<Real> adj_mul(const Matrix3<Real>& u, const HalfSpinor<Real>& h) {
-#ifdef LQCD_SOA_SIMD
+#ifdef LQCD_LANE_SIMD
   if constexpr (std::is_same_v<Real, float>) {
     return detail::mul_half_pairs<true>(u, h);
   } else

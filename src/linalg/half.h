@@ -95,14 +95,14 @@ inline float requantize_half_component(float x, float inv, float back) {
   return static_cast<float>(q) * back;
 }
 
-#ifdef LQCD_SOA_SIMD
+#ifdef LQCD_LANE_SIMD
 /// Four components of a site on the lanes of one 128-bit float vector, and
 /// the int32 vector of the same width.  Casts between the two reinterpret
 /// the bits; __builtin_convertvector converts values.  A vector compare
 /// yields an all-ones or all-zeros int32 lane, and `m ? a : b` selects per
 /// lane.
 using HalfLanes = LaneVec<float, 4>;
-typedef std::int32_t HalfLaneInts __attribute__((vector_size(16)));
+using HalfLaneInts = LaneVec<std::int32_t, 4>;
 
 /// sanitize_half_component on four lanes, as selects on the IEEE class of
 /// the input bits: NaN -> +0, +-Inf -> +-FLT_MAX, subnormal or zero ->
@@ -170,7 +170,7 @@ inline HalfLanes requantize_half_lanes(HalfLanes x, float inv, float back) {
 template <int N>
 inline void roundtrip_site_half_n(float* x) {
   float norm = 0.0f;
-#ifdef LQCD_SOA_SIMD
+#ifdef LQCD_LANE_SIMD
   constexpr int kFirst = N - N % 4;  // the scalar loops take the rest
   detail::HalfLanes v[kFirst / 4 + 1]{};
   detail::HalfLanes vmax{};
@@ -188,7 +188,7 @@ inline void roundtrip_site_half_n(float* x) {
   if (norm == 0.0f) norm = 1.0f;
   const float inv = 1.0f / norm;
   const float back = norm / kHalfScale;
-#ifdef LQCD_SOA_SIMD
+#ifdef LQCD_LANE_SIMD
   for (int k = 0; k < kFirst / 4; ++k) {
     lane_store<float, 4>(x + 4 * k,
                          detail::requantize_half_lanes(v[k], inv, back));

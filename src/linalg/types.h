@@ -106,7 +106,7 @@ Real norm2(const ColorVector<Real>& a) {
   return s;
 }
 
-#ifdef LQCD_SOA_SIMD
+#ifdef LQCD_LANE_SIMD
 /// Swaps the real and imaginary parts of the complex values on a 128-bit
 /// lane pack (an exact permutation).
 inline LaneVec<float, 4> swap_re_im(const LaneVec<float, 4>& v) {
@@ -254,7 +254,7 @@ struct WilsonSpinor {
   /// order; so the lanes keep cmul's bits.  Left to the compiler, the
   /// twelve cmul calls vectorize into scalar products and shuffles.
   WilsonSpinor& operator*=(const Cplx<Real>& a) {
-#ifdef LQCD_SOA_SIMD
+#ifdef LQCD_LANE_SIMD
     constexpr int kL = static_cast<int>(16 / sizeof(Real));
     using V = LaneVec<Real, kL>;
     static_assert(sizeof(s) == sizeof(Real) * 2 * kNSpin * kNColor);

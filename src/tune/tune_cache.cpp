@@ -6,24 +6,11 @@
 #include <sstream>
 
 #include "comm/wire_format.h"
-#include "linalg/simd.h"
 #include "util/log.h"
 
 namespace lqcd {
 
 namespace {
-
-/// Build-configuration token written into the persisted header: the SoA
-/// lane widths (from LQCD_SIMD_BYTES) select different lane-blocked
-/// kernels with different optimal launch parameters, and the aux strings
-/// of SoA entries bake the lane count in (",soa4") — a cache written by a
-/// 256-bit build must not pre-warm a 128-bit build.  Keys that exist in
-/// both builds (AoS kernels) would otherwise silently carry over stale
-/// parameters, so a mismatch invalidates the file wholesale.
-std::string lane_config_token() {
-  return "lanes=f" + std::to_string(kSoaLanes<float>) + "d" +
-         std::to_string(kSoaLanes<double>);
-}
 
 std::string env_or(const char* name, const std::string& fallback) {
   const char* v = std::getenv(name);
@@ -85,18 +72,11 @@ bool TuneCache::load(const std::string& path) {
   std::string header;
   if (!std::getline(in, header)) return false;
   std::istringstream hs(header);
-  std::string magic, lanes, wire;
+  std::string magic, wire;
   int version = -1;
-  hs >> magic >> version >> lanes >> wire;
+  hs >> magic >> version >> wire;
   if (magic != "lqcd-tunecache" || version != kVersion) {
     log_warn("tunecache '" + path + "' has unrecognized header ('" + header +
-             "'); ignoring it and re-tuning");
-    return false;
-  }
-  if (lanes != lane_config_token()) {
-    log_warn("tunecache '" + path + "' was written by a build with lane "
-             "configuration '" + (lanes.empty() ? "<none>" : lanes) +
-             "' (this build: '" + lane_config_token() +
              "'); ignoring it and re-tuning");
     return false;
   }
@@ -147,8 +127,8 @@ bool TuneCache::save(const std::string& path) const {
   }
   std::ofstream out(path, std::ios::trunc);
   if (!out) return false;
-  out << "lqcd-tunecache " << kVersion << ' ' << lane_config_token() << ' '
-      << ghost_wire_codec_token() << "\n";
+  out << "lqcd-tunecache " << kVersion << ' ' << ghost_wire_codec_token()
+      << "\n";
   out << "# kernel\taux\tvolume\tworkers\tparam\tbest_us\tdefault_us\n";
   for (const auto& [key, res] : snapshot) {
     out << sanitize(key.kernel) << '\t' << sanitize(key.aux) << '\t'

@@ -34,7 +34,10 @@ class TuneCache {
   /// Format version; bumped whenever the TSV layout or the meaning of any
   /// stored parameter changes.  A file with a different version is ignored
   /// wholesale (better to re-tune than to apply misread parameters).
-  static constexpr int kVersion = 1;
+  /// Version 2 dropped the header's lane-width token (`lanes=fNdM`); a
+  /// version-1 file may hold rows of the removed data-layout axis
+  /// (`wilson_clover_layout`).
+  static constexpr int kVersion = 2;
 
   /// Cache lookup; counts a hit or (when absent) nothing — the miss is
   /// recorded by store() so that a stale-row re-tune counts once.
@@ -51,11 +54,9 @@ class TuneCache {
 
   /// Loads entries from \p path (TSV).  Returns false (leaving the cache
   /// empty) on a missing file, malformed header, version mismatch, or a
-  /// header whose lane-configuration token (`lanes=fNdM`, from the
-  /// build-time LQCD_SIMD_BYTES) or ghost-wire codec token (`wire=uN`,
-  /// comm/wire_format.h) differs from this build's — tuned parameters do
-  /// not migrate between builds with different SoA lane widths or wire
-  /// byte layouts.
+  /// header whose ghost-wire codec token (`wire=uN`, comm/wire_format.h)
+  /// differs from this build's — tuned parameters do not migrate between
+  /// builds with different wire byte layouts.
   bool load(const std::string& path);
 
   /// Writes all entries to \p path.  Returns false on I/O failure.

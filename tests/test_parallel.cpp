@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <thread>
 #include <vector>
 
 #include "dirac/wilson_kernel.h"
 #include "fields/blas.h"
+#include "fields/compressed_gauge.h"
+#include "fields/precision.h"
 #include "gauge/configure.h"
 #include "util/parallel_for.h"
 
@@ -66,6 +69,20 @@ TEST_F(ParallelTest, DotBitwiseIndependentOfWorkers) {
   EXPECT_EQ(n1, n6);
 }
 
+/// True when wilson_hop of \p in over \p u writes the same bytes on 1
+/// worker as on 4.
+template <typename Real, typename Gauge>
+bool hop_bytes_match_across_workers(const Gauge& u,
+                                    const WilsonField<Real>& in) {
+  WilsonField<Real> out1(in.geometry()), out4(in.geometry());
+  set_worker_count(1);
+  wilson_hop(out1, u, in);
+  set_worker_count(4);
+  wilson_hop(out4, u, in);
+  return std::memcmp(out1.sites().data(), out4.sites().data(),
+                     out1.sites().size_bytes()) == 0;
+}
+
 TEST_F(ParallelTest, DslashBitwiseIndependentOfWorkers) {
   const LatticeGeometry g({4, 4, 4, 8});
   const GaugeField<double> u = hot_gauge(g, 303);
@@ -84,6 +101,13 @@ TEST_F(ParallelTest, DslashBitwiseIndependentOfWorkers) {
       }
     }
   }
+  // A float field runs the spin-pair lane body, on the full links and on
+  // links rebuilt from reconstruct-12 storage.
+  const GaugeField<float> uf = convert_gauge<float>(u);
+  const WilsonField<float> inf = convert_field<float>(in);
+  EXPECT_TRUE(hop_bytes_match_across_workers(uf, inf));
+  EXPECT_TRUE(hop_bytes_match_across_workers(
+      CompressedGaugeField<float>(uf, Reconstruct::Twelve), inf));
 }
 
 TEST_F(ParallelTest, RepeatedJobsOnSamePool) {

@@ -195,7 +195,7 @@ TEST(Staggered, DirichletCutKeepsBlockSupport) {
   }
 }
 
-#ifdef LQCD_SOA_SIMD
+#ifdef LQCD_LANE_SIMD
 /// A random float of magnitude 10^e, e uniform in [-30, max_exp], with a
 /// random sign; one draw in 16 is instead +-0 or a subnormal.
 float spread_float(Rng& rng, double max_exp) {
@@ -276,7 +276,7 @@ int count_leg_mul_mismatches(Rng& rng, double vector_exp, double link_exp) {
 #endif
 
 TEST(Staggered, RowLaneSiteHopBitwiseMatchesScalarBody) {
-#ifndef LQCD_SOA_SIMD
+#ifndef LQCD_LANE_SIMD
   GTEST_SKIP() << "no vector extensions: every hop runs the scalar body";
 #else
   // The colour-row lane body every float staggered hop runs against the

@@ -19,7 +19,6 @@
 #include "comm/counters.h"
 #include "comm/wire_format.h"
 #include "fields/blas.h"
-#include "linalg/simd.h"
 #include "tune/schwarz_policy.h"
 #include "tune/site_loop.h"
 #include "tune/tune_cache.h"
@@ -88,42 +87,44 @@ TEST_F(TuneTest, VersionMismatchInvalidatesWholeFile) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-TEST_F(TuneTest, LaneConfigMismatchInvalidatesWholeFile) {
-  // The header carries the build's SoA lane widths (lanes=fNdM, from
-  // LQCD_SIMD_BYTES); a cache written by a build with different widths —
-  // or by an old build that wrote no token at all — must be discarded
-  // wholesale, never applied.
-  for (const char* stale_header :
-       {"lanes=f16d8", ""}) {  // wrong widths / pre-token format
-    const std::string path = temp_path("stale_lanes.tsv");
+TEST_F(TuneTest, VersionOneFileLoadsEmpty) {
+  // Version 1 headers carried a lane-width token, and their files may hold
+  // rows of the removed data-layout axis (`wilson_clover_layout`, `,soa4`
+  // keys).  Such a file must be discarded wholesale, never applied.  The
+  // second header has this version's tokens, so only the version number
+  // rejects it.
+  for (const char* header :
+       {"lqcd-tunecache 1 lanes=f4d2 wire=u1", "lqcd-tunecache 1 wire=u1"}) {
+    const std::string path = temp_path("version_one.tsv");
     {
       std::ofstream out(path);
-      out << "lqcd-tunecache " << TuneCache::kVersion;
-      if (*stale_header != '\0') out << ' ' << stale_header;
-      out << "\n";
-      out << "wilson_hop\tf64,soa2\t1024\t4\tchunks=32\t12.5\t40.0\n";
+      out << header << "\n";
+      out << "wilson_clover_layout\tf32\t4096\t4\tlayout=aos\t12.5\t"
+             "40.0\n";
+      out << "wilson_hop\tf32,soa4\t4096\t4\tchunks=32\t12.5\t40.0\n";
     }
     TuneCache cache;
-    EXPECT_FALSE(cache.load(path)) << "header token '" << stale_header << "'";
-    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_FALSE(cache.load(path)) << header;
+    EXPECT_EQ(cache.size(), 0u) << header;
   }
 }
 
-TEST_F(TuneTest, SavedHeaderCarriesThisBuildsLaneConfig) {
+TEST_F(TuneTest, SavedHeaderIsVersionAndWireToken) {
   TuneCache cache;
-  cache.store(key_of("wilson_hop", "f32,soa4", 512, 1), {"chunks=4", 1.0, 2.0});
-  const std::string path = temp_path("lanes_header.tsv");
+  cache.store(key_of("wilson_hop", "f32", 512, 1), {"chunks=4", 1.0, 2.0});
+  const std::string path = temp_path("version_header.tsv");
   ASSERT_TRUE(cache.save(path));
   std::ifstream in(path);
   std::string header;
   ASSERT_TRUE(std::getline(in, header));
-  const std::string want = "lanes=f" + std::to_string(kSoaLanes<float>) +
-                           "d" + std::to_string(kSoaLanes<double>);
-  EXPECT_NE(header.find(want), std::string::npos) << header;
+  EXPECT_EQ(header, "lqcd-tunecache 2 wire=u1");
   // And it round-trips through load on the same build.
   TuneCache loaded;
-  EXPECT_TRUE(loaded.load(path));
+  ASSERT_TRUE(loaded.load(path));
   EXPECT_EQ(loaded.size(), 1u);
+  const auto hit = loaded.lookup(key_of("wilson_hop", "f32", 512, 1));
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->param, "chunks=4");
 }
 
 TEST_F(TuneTest, GhostWireCodecMismatchInvalidatesWholeFile) {
@@ -132,13 +133,11 @@ TEST_F(TuneTest, GhostWireCodecMismatchInvalidatesWholeFile) {
   // existed (no token), or against a different wire byte layout, holds
   // `*_ghost_prec` / `*_ghost_wire` policy rows whose meaning changed —
   // it must be discarded wholesale.
-  const std::string lanes = "lanes=f" + std::to_string(kSoaLanes<float>) +
-                            "d" + std::to_string(kSoaLanes<double>);
   for (const char* stale_wire : {"wire=u0", ""}) {
     const std::string path = temp_path("stale_wire.tsv");
     {
       std::ofstream out(path);
-      out << "lqcd-tunecache " << TuneCache::kVersion << ' ' << lanes;
+      out << "lqcd-tunecache " << TuneCache::kVersion;
       if (*stale_wire != '\0') out << ' ' << stale_wire;
       out << "\n";
       out << "wilson_part_ghost_prec\tf64\t1024\t4\tghost_prec=half\t12.5\t"

@@ -115,7 +115,7 @@ int count_ghost_leg_mismatches(const GaugeField<float>& u, Rng& rng,
 }
 
 TEST(Wilson, PairLaneSiteHopBitwiseMatchesScalarBody) {
-#ifndef LQCD_SOA_SIMD
+#ifndef LQCD_LANE_SIMD
   GTEST_SKIP() << "no vector extensions: every hop runs the scalar body";
 #else
   // The spin-pair lane body every float AoS hop runs against the scalar
