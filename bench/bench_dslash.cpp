@@ -138,19 +138,31 @@ void BM_CloverSiteApply(benchmark::State& state) {
 }
 BENCHMARK(BM_CloverSiteApply)->Unit(benchmark::kMillisecond)->UseRealTime();
 
+// The single-domain Schur operator M_hat over the whole L^4 lattice (8^4
+// unless LQCD_BENCH_L says otherwise): two hops, each followed by a pass
+// of the clover term.  Float is the operator the batched solve service
+// runs, on spin-pair lanes.
+template <typename Real>
 void BM_WilsonSchurApply(benchmark::State& state) {
   WilsonFixture f;
-  WilsonCloverSchurOperator<double> schur(f.u, &f.clover, -0.1);
+  const GaugeField<Real> u = convert_gauge<Real>(f.u);
+  const CloverField<Real> clover = convert_clover<Real>(f.clover);
+  WilsonCloverSchurOperator<Real> schur(u, &clover, -0.1);
+  WilsonField<Real> in = convert_field<Real>(f.in);
   for (std::int64_t s = f.g.half_volume(); s < f.g.volume(); ++s) {
-    f.in.at(s) = WilsonSpinor<double>{};
+    in.at(s) = WilsonSpinor<Real>{};
   }
-  schur.apply(f.out, f.in);  // untimed: runs the tune sweep
+  WilsonField<Real> out(f.g);
+  schur.apply(out, in);  // untimed: runs the tune sweep
   for (auto _ : state) {
-    schur.apply(f.out, f.in);
-    benchmark::DoNotOptimize(f.out.sites().data());
+    schur.apply(out, in);
+    benchmark::DoNotOptimize(out.sites().data());
   }
 }
-BENCHMARK(BM_WilsonSchurApply)
+BENCHMARK_TEMPLATE(BM_WilsonSchurApply, float)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_TEMPLATE(BM_WilsonSchurApply, double)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -14,10 +14,19 @@
 ///
 /// Fields passed through this operator keep the odd checkerboard zero.
 ///
+/// M_hat is two parity hops, each followed by a pass of the Schur site
+/// step over the parity it wrote (detail::schur_site,
+/// dirac/wilson_kernel.h): A_oo^{-1} D_oe in on odd sites, then A_ee in -
+/// (1/4) D_eo of that on even ones.  One clover field holds both
+/// diagonals, A_ee on even sites and A_oo^{-1} on odd
+/// (schur_diagonal_site), as the partitioned and block operators store
+/// theirs.
+///
 /// Like WilsonCloverOperator, the half-hops can execute from a
 /// reconstruct-12/-8 gauge field (ctor \p recon, LQCD_RECON override,
 /// LQCD_RECON=tune policy sweep cached as `wilson_schur_recon`).
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -48,15 +57,12 @@ class WilsonCloverSchurOperator
                             Reconstruct recon = Reconstruct::None)
       : u_(&u), mass_(mass), mask_(mask),
         nt_(shared_local_neighbors(u.geometry(), 1)), tmp_(u.geometry()),
-        diag_(std::make_shared<CloverField<Real>>(u.geometry())),
-        inv_diag_(std::make_shared<CloverField<Real>>(u.geometry())) {
+        schur_(u.geometry()) {
     const Real d = static_cast<Real>(4.0 + mass);
     const LatticeGeometry& g = u.geometry();
     for (std::int64_t s = 0; s < g.volume(); ++s) {
-      CloverSite<Real> cs = a != nullptr ? a->at(s) : CloverSite<Real>{};
-      cs = clover_add_diagonal(cs, d);
-      diag_->at(s) = cs;
-      inv_diag_->at(s) = clover_invert(cs);
+      schur_.at(s) = schur_diagonal_site(a != nullptr ? &a->at(s) : nullptr,
+                                         d, s >= g.half_volume());
     }
     std::unique_ptr<WilsonField<Real>> tin;
     std::unique_ptr<WilsonField<Real>> tout;
@@ -101,39 +107,19 @@ class WilsonCloverSchurOperator
     std::vector<WilsonField<Real>*> tmps(w);
     std::vector<const WilsonField<Real>*> ctmps(w);
     for (std::size_t r = 0; r < w; ++r) {
-      tmp_multi_[r].set_zero();
+      zero_parity(tmp_multi_[r], Parity::Even);
+      zero_parity(*outs[r], Parity::Odd);
       tmps[r] = &tmp_multi_[r];
       ctmps[r] = &tmp_multi_[r];
     }
-    const std::int64_t h = geometry().half_volume();
     with_gauge(recon_, [&](const auto& ug) {
-      // tmp_o = D_oe in_e (all RHS per link load)
+      // tmp_o = A_oo^{-1} D_oe in_e; each link and clover site is loaded
+      // once for the batch.
       wilson_hop_multi(tmps, ug, ins, *nt_, Parity::Odd);
-      // tmp_o <- A_oo^{-1} tmp_o; like the hops, the clover site block
-      // (2x 6x6 Hermitian — heavier than a gauge link) is loaded once and
-      // applied to every RHS.  Each iteration writes only its own site.
-      for (std::size_t r = 0; r < w; ++r) outs[r]->set_zero();
-      parallel_for(h, [&](std::int64_t i) {
-        const std::int64_t s = h + i;
-        const CloverSite<Real>& cs = inv_diag_->at(s);
-        for (std::size_t r = 0; r < w; ++r) {
-          WilsonSpinor<Real>& v = tmp_multi_[r].at(s);
-          v = clover_apply(cs, v);
-        }
-      });
-      // out_e = D_eo tmp_o
+      schur_pass(Parity::Odd, tmps.data(), nullptr, w);
+      // out_e = A_ee in_e - 1/4 D_eo tmp_o
       wilson_hop_multi(outs, ug, ctmps, *nt_, Parity::Even);
-      // out_e = A_ee in_e - 1/4 out_e (again one clover load per site)
-      parallel_for(h, [&](std::int64_t s) {
-        const CloverSite<Real>& cs = diag_->at(s);
-        for (std::size_t r = 0; r < w; ++r) {
-          WilsonSpinor<Real> v = clover_apply(cs, ins[r]->at(s));
-          WilsonSpinor<Real> hop = outs[r]->at(s);
-          hop *= Real(-0.25);
-          v += hop;
-          outs[r]->at(s) = v;
-        }
-      });
+      schur_pass(Parity::Even, outs.data(), ins.data(), w);
     });
   }
 
@@ -146,7 +132,7 @@ class WilsonCloverSchurOperator
                       const WilsonField<Real>& b) const {
     tmp_.set_zero();
     for_parity(tmp_, Parity::Odd, [&](std::int64_t s, WilsonSpinor<Real>& v) {
-      v = clover_apply(inv_diag_->at(s), b.at(s));
+      v = clover_apply(schur_.at(s), b.at(s));
     });
     b_hat.set_zero();
     with_gauge(recon_, [&](const auto& ug) {
@@ -173,39 +159,49 @@ class WilsonCloverSchurOperator
       WilsonSpinor<Real> v = tmp_.at(s);
       v *= Real(0.5);
       v += b.at(s);
-      x.at(s) = clover_apply(inv_diag_->at(s), v);
+      x.at(s) = clover_apply(schur_.at(s), v);
     }
-  }
-
-  /// Shares the (expensive) diagonal inverses with a lower-precision copy.
-  std::shared_ptr<const CloverField<Real>> diagonal() const { return diag_; }
-  std::shared_ptr<const CloverField<Real>> inverse_diagonal() const {
-    return inv_diag_;
   }
 
  private:
   template <typename Gauge>
   void apply_impl(const Gauge& ug, WilsonField<Real>& out,
                   const WilsonField<Real>& in) const {
-    const LatticeGeometry& g = geometry();
-    // tmp_o = D_oe in_e
-    tmp_.set_zero();
+    WilsonField<Real>* tmp = &tmp_;
+    WilsonField<Real>* o = &out;
+    const WilsonField<Real>* i = &in;
+    // tmp_o = A_oo^{-1} D_oe in_e
+    zero_parity(tmp_, Parity::Even);
     wilson_hop(tmp_, ug, in, *nt_, Parity::Odd, mask_);
-    // tmp_o <- A_oo^{-1} tmp_o
-    for_parity(tmp_, Parity::Odd, [&](std::int64_t s, WilsonSpinor<Real>& v) {
-      v = clover_apply(inv_diag_->at(s), v);
-    });
-    // out_e = D_eo tmp_o
-    out.set_zero();
+    schur_pass(Parity::Odd, &tmp, nullptr, 1);
+    // out_e = A_ee in_e - 1/4 D_eo tmp_o
+    zero_parity(out, Parity::Odd);
     wilson_hop(out, ug, tmp_, *nt_, Parity::Even, mask_);
-    // out_e = A_ee in_e - 1/4 out_e
-    for (std::int64_t s = 0; s < g.half_volume(); ++s) {
-      WilsonSpinor<Real> v = clover_apply(diag_->at(s), in.at(s));
-      WilsonSpinor<Real> h = out.at(s);
-      h *= Real(-0.25);
-      v += h;
-      out.at(s) = v;
-    }
+    schur_pass(Parity::Even, &o, &i, 1);
+  }
+
+  /// The Schur step (detail::schur_site) in place on parity \p p of
+  /// outs[0..w), which hold that parity's hop: A_oo^{-1} outs[r] on odd
+  /// sites, A_ee ins[r] - 1/4 outs[r] on even ones (\p ins is read only
+  /// there).  Each clover site is loaded once for the batch.
+  void schur_pass(Parity p, WilsonField<Real>* const* outs,
+                  const WilsonField<Real>* const* ins, std::size_t w) const {
+    const std::int64_t h = geometry().half_volume();
+    const std::int64_t begin = p == Parity::Even ? 0 : h;
+    parallel_for(h, [&](std::int64_t i) {
+      const std::int64_t s = begin + i;
+      const CloverSite<Real>& cs = schur_.at(s);
+      for (std::size_t r = 0; r < w; ++r) {
+        WilsonSpinor<Real>& v = outs[r]->at(s);
+        v = detail::schur_site(cs, v,
+                               p == Parity::Even ? &ins[r]->at(s) : nullptr);
+      }
+    });
+  }
+
+  static void zero_parity(WilsonField<Real>& f, Parity p) {
+    const auto half = f.parity_span(p);
+    std::fill(half.begin(), half.end(), WilsonSpinor<Real>{});
   }
 
   void ensure_compressed(Reconstruct r) {
@@ -247,8 +243,8 @@ class WilsonCloverSchurOperator
   std::shared_ptr<const NeighborTable> nt_;
   mutable WilsonField<Real> tmp_;
   mutable std::vector<WilsonField<Real>> tmp_multi_;  // apply_multi scratch
-  std::shared_ptr<CloverField<Real>> diag_;      // A + 4 + m
-  std::shared_ptr<CloverField<Real>> inv_diag_;  // (A + 4 + m)^{-1}
+  /// A_ee = A + 4 + m on even sites, A_oo^{-1} on odd (schur_diagonal_site).
+  CloverField<Real> schur_;
   Reconstruct recon_ = Reconstruct::None;
   std::unique_ptr<CompressedGaugeField<Real>> c12_;
   std::unique_ptr<CompressedGaugeField<Real>> c8_;

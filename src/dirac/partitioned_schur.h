@@ -10,7 +10,10 @@
 /// subvolume: the clover terms run as the hops' per-rank epilogues, on one
 /// per-rank field holding A_ee on even sites and A_oo^{-1} on odd sites,
 /// so the caller neither sweeps the global field nor keeps a global copy
-/// of the clover term.
+/// of the clover term.  The epilogue runs after the exterior kernels have
+/// finished the rank's hop, and its site step is the one every Schur
+/// operator runs (detail::schur_site, whose clover multiply is on
+/// spin-pair lanes in float).
 
 #include <algorithm>
 #include <utility>
@@ -31,9 +34,8 @@ CloverField<Real> schur_diagonal(const DomainMap& map, int r,
   const Real d = static_cast<Real>(4.0 + mass);
   CloverField<Real> out(local);
   map.for_sites(r, std::nullopt, [&](std::int64_t i, std::int64_t s) {
-    CloverSite<Real> cs = a != nullptr ? a->at(s) : CloverSite<Real>{};
-    cs = clover_add_diagonal(cs, d);
-    out.at(i) = i < local.half_volume() ? cs : clover_invert(cs);
+    out.at(i) = schur_diagonal_site(a != nullptr ? &a->at(s) : nullptr, d,
+                                    i >= local.half_volume());
   });
   return out;
 }
@@ -60,18 +62,14 @@ class PartitionedWilsonCloverSchur : public LinearOperator<WilsonField<Real>> {
     hop_.apply_hop(tmp_, in, Parity::Odd, [&](int r, WilsonField<Real>& o) {
       const CloverField<Real>& a = clover(r);
       map().for_sites(r, Parity::Odd, [&](std::int64_t i, std::int64_t) {
-        o.at(i) = clover_apply(a.at(i), o.at(i));
+        o.at(i) = detail::schur_site<Real>(a.at(i), o.at(i), nullptr);
       });
     });
     // out_e = A_ee in_e - (1/4) D_eo tmp_o.
     hop_.apply_hop(out, tmp_, Parity::Even, [&](int r, WilsonField<Real>& o) {
       const CloverField<Real>& a = clover(r);
       map().for_sites(r, Parity::Even, [&](std::int64_t i, std::int64_t s) {
-        WilsonSpinor<Real> v = clover_apply(a.at(i), in.at(s));
-        WilsonSpinor<Real> h = o.at(i);
-        h *= Real(-0.25);
-        v += h;
-        o.at(i) = v;
+        o.at(i) = detail::schur_site<Real>(a.at(i), o.at(i), &in.at(s));
       });
     });
   }

@@ -20,7 +20,9 @@
 /// (detail::pair_lane_site_hop, linalg/gamma.h), which the partitioned
 /// exterior's ghost legs share (detail::ghost_site_hop); the scalar body
 /// (detail::scalar_site_hop) serves double and builds without vector
-/// extensions.
+/// extensions.  The Schur operators apply their clover terms with one site
+/// step, detail::schur_site, whose clover multiply (fields/clover.h) runs
+/// on the same spin-pair lanes in float.
 ///
 /// All kernels are templated on the gauge type: a `GaugeField` (full
 /// 18-real links) or a `CompressedGaugeField` (reconstruct-12/-8 storage,
@@ -202,8 +204,11 @@ inline WilsonSpinor<Real> ghost_site_hop(const Gauge& u, int mu,
   }
 }
 
-/// (4 + m + A) psi - hop / 2 at one site: the epilogue of every fused
-/// Wilson-clover apply.  \p a may be null (plain Wilson).
+/// (4 + m + A) psi - hop / 2 at one site: the epilogue of the full
+/// Wilson-clover operator's fused apply (wilson_clover_apply and the
+/// partitioned interior), whose clover_apply runs on spin-pair lanes in
+/// float.  The Schur operators' site step is schur_site.  \p a may be null
+/// (plain Wilson).
 template <typename Real>
 inline WilsonSpinor<Real> wilson_clover_site(WilsonSpinor<Real> hop,
                                              const WilsonSpinor<Real>& psi,
@@ -214,6 +219,23 @@ inline WilsonSpinor<Real> wilson_clover_site(WilsonSpinor<Real> hop,
   if (a != nullptr) v += clover_apply(*a, psi);
   hop *= Real(-0.5);
   v += hop;
+  return v;
+}
+
+/// The even-odd Schur operator's site step on a parity hop's result
+/// (dirac/even_odd.h): A_oo^{-1} hop on an odd site (\p psi null), and
+/// A_ee psi - hop / 4 on an even site, \p a being the site's
+/// schur_diagonal block.  Every Schur operator runs its clover terms
+/// through it, as a pass over the parity its hop wrote.
+template <typename Real>
+inline WilsonSpinor<Real> schur_site(const CloverSite<Real>& a,
+                                     const WilsonSpinor<Real>& hop,
+                                     const WilsonSpinor<Real>* psi) {
+  if (psi == nullptr) return clover_apply(a, hop);
+  WilsonSpinor<Real> v = clover_apply(a, *psi);
+  WilsonSpinor<Real> h = hop;
+  h *= Real(-0.25);
+  v += h;
   return v;
 }
 

@@ -22,7 +22,9 @@
 /// flips, adds and multiplies derived from kGamma at compile time.  That
 /// is the one Wilson lane leg.  The float staggered leg's colour multiply
 /// runs on the same vectors with the colour rows across the lanes
-/// (detail::mul_color_rows).
+/// (detail::mul_color_rows), and the float clover term's chiral blocks on
+/// the spin-pair vectors (fields/clover.h); both sum their columns with
+/// detail::ColumnLanes.
 
 #include <array>
 #include <bit>
@@ -217,6 +219,15 @@ inline void load_half_pairs(const HalfSpinor<float>& h, PairLanes v[kNColor]) {
   for (int c = 0; c < kNColor; ++c) v[c] = load_pair(h[0], h[1], c);
 }
 
+/// Spins (0, 1) of \p psi into \p lo and (2, 3) into \p hi, per colour.
+inline void load_spinor_pairs(const WilsonSpinor<float>& psi,
+                              PairLanes lo[kNColor], PairLanes hi[kNColor]) {
+  for (int c = 0; c < kNColor; ++c) {
+    lo[c] = load_pair(psi[0], psi[1], c);
+    hi[c] = load_pair(psi[2], psi[3], c);
+  }
+}
+
 /// A spinor held as spins (0, 1) in \p lo and (2, 3) in \p hi.
 inline WilsonSpinor<float> store_spinor_pairs(const PairLanes lo[kNColor],
                                               const PairLanes hi[kNColor]) {
@@ -330,26 +341,43 @@ inline ColorVector<float> store_color_rows(const ColorRows& r) {
   return v;
 }
 
+/// The broadcasts of one column of a lane mat-vec: the complex x in slot
+/// \p Slot of \p v as p = (re, re, re, re) and q = (-im, im, -im, im), or
+/// for an adjoint (Adj true) p = (re, -re, re, -re) and q = (im, im, im,
+/// im).
+template <int Slot, bool Adj>
+struct ColumnLanes {
+  PairLanes p;
+  PairLanes q;
+
+  explicit ColumnLanes(const PairLanes& v)
+      : p(shuffle_pair<PairShuffle{{2 * Slot, 2 * Slot, 2 * Slot, 2 * Slot},
+                                   {false, Adj, false, Adj}}>(v)),
+        q(shuffle_pair<PairShuffle{
+              {2 * Slot + 1, 2 * Slot + 1, 2 * Slot + 1, 2 * Slot + 1},
+              {!Adj, false, !Adj, false}}>(v)) {}
+
+  /// t += z * p + swap(z) * q: the column's term of the two complex rows
+  /// whose entries z holds, (re, im, re, im).  Per component that is
+  /// cmul's (or, for the adjoint, cmul_conj's) two products and one add,
+  /// x + (-y) being IEEE's x - y and the imaginary sum commuted, so a
+  /// sum from t = +0 in column order keeps the scalar mat-vec's bits.
+  void mul_add(PairLanes& t, const PairLanes& z) const {
+    t += z * p + swap_re_im(z) * q;
+  }
+};
+
 /// U v (Adj false) or U^dagger v (Adj true) on colour-row lanes: for each
-/// column j, t += z * p + swap(z) * q from t = +0, in j order.  z holds
-/// the link entries of the output rows, u(i, j), or u(j, i) for the
-/// adjoint (rows 0 and 1 one contiguous load); p and q broadcast v[j] as
-/// (re, re, re, re) and (-im, im, -im, im) for U, (re, -re, re, -re) and
-/// (im, im, im, im) for U^dagger.  Per component that is cmul's (or
-/// cmul_conj's) two products and one add, x + (-y) being IEEE's x - y and
-/// the imaginary sum commuted, added in the scalar mat-vec's order, so
-/// every bit matches operator*(Matrix3, ColorVector) and adj_mul.
+/// column j, t += z * p + swap(z) * q from t = +0, in j order
+/// (ColumnLanes).  z holds the link entries of the output rows, u(i, j),
+/// or u(j, i) for the adjoint (rows 0 and 1 one contiguous load); p and q
+/// broadcast v[j].  So every bit matches operator*(Matrix3, ColorVector)
+/// and adj_mul.
 template <bool Adj>
 inline ColorRows mul_color_rows(const Matrix3<float>& u, const ColorRows& v) {
   ColorRows t{};
   const auto column = [&]<int J>(std::integral_constant<int, J>) {
-    constexpr int kRe = 2 * (J % 2);
-    constexpr PairShuffle kP{{kRe, kRe, kRe, kRe}, {false, Adj, false, Adj}};
-    constexpr PairShuffle kQ{{kRe + 1, kRe + 1, kRe + 1, kRe + 1},
-                             {!Adj, false, !Adj, false}};
-    const PairLanes& src = J < 2 ? v.lo : v.hi;
-    const PairLanes p = shuffle_pair<kP>(src);
-    const PairLanes q = shuffle_pair<kQ>(src);
+    const ColumnLanes<J % 2, Adj> col(J < 2 ? v.lo : v.hi);
     PairLanes zlo;
     if constexpr (Adj) {
       zlo = lane_load<float, 4>(reinterpret_cast<const float*>(&u(J, 0)));
@@ -359,8 +387,8 @@ inline ColorRows mul_color_rows(const Matrix3<float>& u, const ColorRows& v) {
     }
     const Cplx<float>& c = Adj ? u(J, 2) : u(2, J);
     const PairLanes zhi{c.real(), c.imag(), 0.0f, 0.0f};
-    t.lo += zlo * p + swap_re_im(zlo) * q;
-    t.hi += zhi * p + swap_re_im(zhi) * q;
+    col.mul_add(t.lo, zlo);
+    col.mul_add(t.hi, zhi);
   };
   column(std::integral_constant<int, 0>{});
   column(std::integral_constant<int, 1>{});

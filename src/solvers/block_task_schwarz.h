@@ -28,7 +28,9 @@
 /// ghost entries is exactly the Dirichlet cut, so no stencil body lives
 /// here.  Its links are stored in the masked Dirichlet operator's format
 /// (dirichlet_recon).  The clover term is stored per block only on the
-/// parity it acts on: A_ee on even sites, A_oo^{-1} on odd sites.
+/// parity it acts on: A_ee on even sites, A_oo^{-1} on odd sites.  Each
+/// hop is followed by a pass of the Schur site step (detail::schur_site)
+/// over the parity it wrote, as in the single-domain operator.
 ///
 /// **Bitwise contract.**  apply() and every RHS of apply_multi() equal
 /// SchwarzPreconditioner over the masked WilsonCloverSchurOperator
@@ -252,24 +254,25 @@ class BlockTaskSchwarzPreconditioner
 
   /// k.ar = M_hat k.r on block b for the batch: apply_impl of the masked
   /// WilsonCloverSchurOperator, step for step, with each link and clover
-  /// site loaded once for the batch.
+  /// site loaded once for the batch: tmp_o = A_oo^{-1} D_oe r_e, then
+  /// ar_e = A_ee r_e - 1/4 D_eo tmp_o, each clover term a pass of
+  /// detail::schur_site over the parity its hop wrote.
   void block_op(int b, Block& k) const {
     const std::int64_t h = k.clover.geometry().half_volume();
     hop_.apply_hop_local(b, k.tmp, k.r, Parity::Odd);
     parallel_for(h, [&](std::int64_t i) {
       const std::int64_t s = h + i;
       const CloverSite<Real>& cs = k.clover.at(s);
-      for (Field* t : k.tmp) t->at(s) = clover_apply(cs, t->at(s));
+      for (Field* t : k.tmp) {
+        t->at(s) = detail::schur_site<Real>(cs, t->at(s), nullptr);
+      }
     });
     hop_.apply_hop_local(b, k.ar, k.ctmp, Parity::Even);
     parallel_for(h, [&](std::int64_t s) {
       const CloverSite<Real>& cs = k.clover.at(s);
       for (std::size_t i = 0; i < k.r.size(); ++i) {
-        WilsonSpinor<Real> v = clover_apply(cs, k.r[i]->at(s));
-        WilsonSpinor<Real> hop = k.ar[i]->at(s);
-        hop *= Real(-0.25);
-        v += hop;
-        k.ar[i]->at(s) = v;
+        k.ar[i]->at(s) =
+            detail::schur_site(cs, k.ar[i]->at(s), &k.r[i]->at(s));
       }
     });
   }

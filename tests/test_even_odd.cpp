@@ -2,6 +2,8 @@
 // back-substitution must reproduce the full-system solution.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "dirac/dense_reference.h"
 #include "dirac/even_odd.h"
 #include "dirac/wilson_ops.h"
@@ -9,6 +11,7 @@
 #include "gauge/clover_leaf.h"
 #include "gauge/configure.h"
 #include "solvers/bicgstab.h"
+#include "util/parallel_for.h"
 
 namespace lqcd {
 namespace {
@@ -117,6 +120,20 @@ TEST(EvenOdd, PlainWilsonSchurAlsoWorks) {
   scale(-1.0, r);
   axpy(1.0, b, r);
   EXPECT_LT(std::sqrt(norm2(r) / norm2(b)), 1e-8);
+}
+
+TEST(EvenOdd, SingularDiagonalThrowsFromConstructor) {
+  // Plain Wilson at m = -4 has a zero diagonal, so A_oo^{-1} does not
+  // exist: the constructor must throw to its caller on a pool of 4
+  // workers, as on one.
+  const LatticeGeometry g({4, 4, 4, 4});
+  const GaugeField<double> u = weak_gauge(g, 47, 0.2);
+  const int workers = worker_count();
+  set_worker_count(4);
+  EXPECT_THROW(
+      { const WilsonCloverSchurOperator<double> schur(u, nullptr, -4.0); },
+      std::runtime_error);
+  set_worker_count(workers);
 }
 
 }  // namespace
